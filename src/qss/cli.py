@@ -27,7 +27,7 @@ from .fileio import (
     read_json,
     write_json,
 )
-from .noise import fit_depolarizing_detail
+from .noise import CalibrationError, fit_depolarizing_detail
 from .protocol import (
     ProtocolConfig,
     aggregate_receiver_counts,
@@ -285,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except IOError as exc:
+    except (IOError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

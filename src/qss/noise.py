@@ -14,6 +14,10 @@ from .circuit import Circuit, Counts, RunConfig
 from .simulate import exact_distribution, simulate_shots
 
 
+class CalibrationError(ValueError):
+    """Raised when a calibration target lies outside the reachable range."""
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     p1: float
@@ -102,8 +106,9 @@ def fit_depolarizing_detail(
     clbit defaults to the circuit's last measurement.  Every evaluation
     reuses the same seed, so the estimated P(0) is a deterministic and (up
     to sampling ties) monotone function of p and the whole fit reproduces
-    exactly.  Raises ValueError when the target is above the noiseless
-    value or below what the strongest allowed noise produces.
+    exactly.  Raises CalibrationError, a ValueError, when the target is
+    above the noiseless value or below what the strongest allowed noise
+    produces.
     """
     if shots < 20000:
         raise ValueError("calibration needs at least 20000 shots per evaluation")
@@ -116,7 +121,7 @@ def fit_depolarizing_detail(
     pos = circuit.num_clbits - 1 - bit
     p0_ceiling = sum(p for key, p in noiseless.items() if key[pos] == "0")
     if target_p0 > p0_ceiling + tol:
-        raise ValueError(f"target {target_p0} exceeds the noiseless value {p0_ceiling:.6f}")
+        raise CalibrationError(f"target {target_p0} exceeds the noiseless value {p0_ceiling:.6f}")
 
     def evaluate(p: float) -> float:
         model = NoiseModel.depolarizing(p, p_read)
@@ -125,7 +130,7 @@ def fit_depolarizing_detail(
 
     floor = evaluate(hi)
     if target_p0 < floor - tol:
-        raise ValueError(f"target {target_p0} is below {floor:.4f}, the value at p = {hi}")
+        raise CalibrationError(f"target {target_p0} is below {floor:.4f}, the value at p = {hi}")
 
     a, b = lo, hi
     mid, achieved = hi, floor

@@ -1,10 +1,23 @@
 """Shot sampling, exact branch enumeration, and unitary extraction.
 
-Sampling uses a counter-based generator (Philox) keyed by the run seed.  All
-per-shot randomness is laid out as one row of uniforms per shot with a fixed
-column per consumption site, so results are independent of chunking and a
-zero-probability noise channel consumes no draws at all.  That makes a run
-with NoiseModel(0, 0, 0) bit-identical to a noiseless run.
+Sampled and exact runs share one engine that holds only the distinct states
+of a run: a (G, 2**n) array of statevectors with a classical register per
+group.  Gates act once per group; conditioned gates act on the groups whose
+register bit reads 1.
+
+Sampled runs map every shot to a group id.  Randomness comes from a
+counter-based generator (Philox) keyed by the run seed, laid out as one row
+of uniforms per shot with a fixed column per consumption site, so results
+are independent of batching and a zero-probability noise channel consumes no
+draws at all: a run with NoiseModel(0, 0, 0) is bit-identical to a noiseless
+run.  A Pauli hit moves only the shots it hits into new groups keyed by
+(group, Pauli); a measurement regroups every shot by (group, true outcome,
+recorded bit).  Memory scales with the distinct histories, at most one group
+per shot of a batch, plus the shots x columns draw array.
+
+Exact runs weight each group by its probability instead: a measurement
+splits every group into its nonzero-probability outcomes, 0 before 1, so the
+branches come out in depth-first order.
 """
 
 from __future__ import annotations
@@ -43,175 +56,158 @@ class Branch:
         return sum(b << i for i, b in enumerate(self.clbits))
 
 
-def _noise_probs(noise: "NoiseModel | None") -> tuple[float, float, float]:
-    if noise is None:
-        return 0.0, 0.0, 0.0
-    return noise.p1, noise.p2, noise.p_read
-
-
-def _draw_layout(circuit: Circuit, noise: "NoiseModel | None") -> list[dict]:
+def _draw_layout(circuit: Circuit, noise: "NoiseModel | None") -> tuple[list[dict], int]:
     """Assign uniform-draw columns to each op, in program order.
 
     Gates take (trigger, choice) per touched qubit when their depolarizing
     probability is nonzero; measurements take one collapse draw plus one
     readout draw when readout error is on.  Conditioned gates reserve their
     columns whether or not they fire, so the layout is shot-independent.
+    Returns the layout and its column count.
     """
-    p1, p2, p_read = _noise_probs(noise)
+    p1, p2, p_read = (0.0, 0.0, 0.0) if noise is None else (noise.p1, noise.p2, noise.p_read)
     layout = []
     col = 0
     for op in circuit.ops:
-        entry: dict = {"op": op}
-        if op.kind in ("gate", "cond"):
+        if op.kind == "measure":
+            readout = col + 1 if p_read > 0.0 else None
+            layout.append({"op": op, "collapse_col": col, "readout_col": readout, "p_read": p_read})
+            col += 1 if readout is None else 2
+        else:
             p = p1 if len(op.targets) == 1 else p2
-            entry["p"] = p
-            entry["noise_cols"] = []
-            if p > 0.0:
-                for _ in op.targets:
-                    entry["noise_cols"].append((col, col + 1))
-                    col += 2
+            cols = [(col + 2 * i, col + 2 * i + 1) for i in range(len(op.targets))] if p > 0.0 else []
+            layout.append({"op": op, "p": p, "noise_cols": cols})
+            col += 2 * len(cols)
+    return layout, col
+
+
+def _compact(states: np.ndarray, creg: np.ndarray, group: np.ndarray, leaving: np.ndarray) -> int:
+    """Pack the groups still held by shots outside `leaving` into the first
+    rows, renumber those shots, and return the new group count."""
+    stay = np.ones(group.size, dtype=bool)
+    stay[leaving] = False
+    live, group[stay] = np.unique(group[stay], return_inverse=True)
+    states[: live.size] = states[live]
+    creg[: live.size] = creg[live]
+    return live.size
+
+
+def _evolve(circuit: Circuit, layout: list[dict], u: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evolve the distinct states of one batch of shots, or every branch.
+
+    Given draws u (one row per shot) this returns (states, creg, group),
+    where group maps each shot to its row.  With u None the run is exact and
+    returns (states, creg, prob), one row per branch in depth-first order.
+    """
+    n = circuit.num_qubits
+    bits = (np.arange(2**n) >> np.arange(n)[:, None]) & 1
+    cap = 1 if u is None else len(u)
+    states = np.empty((cap, 2**n), dtype=complex)
+    states[0] = 0.0
+    states[0, 0] = 1.0
+    creg = np.zeros((cap, circuit.num_clbits), dtype=np.int64)
+    group = None if u is None else np.zeros(cap, dtype=np.int64)
+    prob = np.ones(1)
+    g = 1
+    for entry in layout:
+        op = entry["op"]
+        if op.kind == "measure":
+            bit = bits[op.qubit]
+            p1 = (np.abs(states[:g]) ** 2)[:, bit == 1].sum(axis=1)
+            p0 = 1.0 - p1
+            if u is None:
+                pairs = np.array((p0, p1)).ravel(order="F")
+                keep = np.flatnonzero(pairs > _BRANCH_EPS)
+                if keep.size > MAX_BRANCHES:
+                    raise SimulationError(f"branch count exceeds {MAX_BRANCHES}")
+                parent, outcome = np.divmod(keep, 2)
+                recorded = outcome
+                p = pairs[keep]
+                prob = prob[parent] * p
+            else:
+                shot_outcome = (u[:, entry["collapse_col"]] >= p0[group]).astype(np.int64)
+                shot_record = shot_outcome
+                if entry["readout_col"] is not None:
+                    shot_record = shot_outcome ^ (u[:, entry["readout_col"]] < entry["p_read"])
+                keys, group = np.unique(group * 4 + shot_outcome * 2 + shot_record, return_inverse=True)
+                parent, outcome, recorded = keys >> 2, (keys >> 1) & 1, keys & 1
+                p = np.where(outcome == 1, p1[parent], p0[parent])
+            new = np.where(bit == outcome[:, None], states[parent], 0.0) / np.sqrt(p)[:, None]
+            reg = creg[parent]
+            reg[:, op.clbit] = recorded
+            g = parent.size
+            if u is None:
+                states, creg = new, reg
+            else:
+                states[:g], creg[:g] = new, reg
+            continue
+        if op.kind == "gate":
+            rows = slice(0, g)
         else:
-            entry["collapse_col"] = col
-            col += 1
-            entry["readout_col"] = None
-            if p_read > 0.0:
-                entry["readout_col"] = col
-                col += 1
-            entry["p_read"] = p_read
-        layout.append(entry)
-    return layout
-
-
-def _total_cols(layout: list[dict]) -> int:
-    n = 0
-    for e in layout:
-        if "noise_cols" in e:
-            n += 2 * len(e["noise_cols"])
-        else:
-            n += 1 + (1 if e["readout_col"] is not None else 0)
-    return n
-
-
-def _apply_to_rows(states: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], n: int, rows: np.ndarray | None) -> None:
-    """Apply a unitary to all rows, or to the rows selected by a bool mask."""
-    if rows is None:
-        states[:] = apply_unitary(states, matrix, targets, n)
-    elif rows.any():
-        states[rows] = apply_unitary(states[rows], matrix, targets, n)
-
-
-def _inject_pauli(states: np.ndarray, u: np.ndarray, cols: tuple[int, int], p: float, qubit: int, n: int, fired: np.ndarray | None) -> None:
-    hit = u[:, cols[0]] < p
-    if fired is not None:
-        hit &= fired
-    if not hit.any():
-        return
-    which = (u[:, cols[1]] * 3.0).astype(np.int64)
-    for k in range(3):
-        _apply_to_rows(states, PAULIS[k + 1], (qubit,), n, hit & (which == k))
+            rows = np.flatnonzero(creg[:g, op.clbit])
+            if not rows.size:
+                continue
+        states[rows] = apply_unitary(states[rows], gate(op.name).matrix, op.targets, n)
+        for q, (trigger, choice) in zip(op.targets, entry["noise_cols"]):
+            hit = u[:, trigger] < entry["p"]
+            if op.kind == "cond":
+                hit &= creg[group, op.clbit] == 1
+            shots = np.flatnonzero(hit)
+            if not shots.size:
+                continue
+            which = (u[shots, choice] * 3.0).astype(np.int64)
+            keys, inv = np.unique(group[shots] * 3 + which, return_inverse=True)
+            new, reg = states[keys // 3], creg[keys // 3]
+            for k in range(3):
+                sel = keys % 3 == k
+                if sel.any():
+                    new[sel] = apply_unitary(new[sel], PAULIS[k + 1], (q,), n)
+            if g + keys.size > cap:
+                g = _compact(states, creg, group, shots)
+            states[g : g + keys.size], creg[g : g + keys.size] = new, reg
+            group[shots] = g + inv
+            g += keys.size
+    return states[:g], creg[:g], prob if u is None else group
 
 
 def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" = None) -> Counts:
-    """Run a circuit shot by shot and tally classical register values.
+    """Sample a circuit's shots and tally classical register values.
 
-    Shots are processed as batches of statevectors; measurement collapse uses
-    the true outcome while the recorded bit may be flipped by readout error.
+    Shots are processed in batches of _CHUNK_AMPS // 2**n; measurement
+    collapse uses the true outcome while the recorded bit may be flipped by
+    readout error.
     """
     if cfg.mode != "sampled":
         raise ValueError(f"simulate_shots requires sampled mode, got {cfg.mode!r}")
     circuit.validate()
-    n = circuit.num_qubits
-    m = circuit.num_clbits
-    dim = 2**n
-    layout = _draw_layout(circuit, noise)
-    ncols = _total_cols(layout)
-
+    layout, ncols = _draw_layout(circuit, noise)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     uniforms = rng.random((cfg.shots, max(ncols, 1)))
 
+    weights = 1 << np.arange(circuit.num_clbits, dtype=np.int64)
     codes = np.empty(cfg.shots, dtype=np.int64)
-    chunk = max(1, _CHUNK_AMPS // dim)
+    chunk = max(1, _CHUNK_AMPS // 2**circuit.num_qubits)
     for start in range(0, cfg.shots, chunk):
-        stop = min(start + chunk, cfg.shots)
-        rows = stop - start
-        u = uniforms[start:stop]
-        states = np.zeros((rows, dim), dtype=complex)
-        states[:, 0] = 1.0
-        creg = np.zeros((rows, m), dtype=np.int64) if m else np.zeros((rows, 0), dtype=np.int64)
-
-        for entry in layout:
-            op = entry["op"]
-            if op.kind in ("gate", "cond"):
-                fired = None
-                if op.kind == "cond":
-                    fired = creg[:, op.clbit] == 1
-                    if not fired.any():
-                        continue
-                _apply_to_rows(states, gate(op.name).matrix, op.targets, n, fired)
-                for q, cols in zip(op.targets, entry["noise_cols"]):
-                    _inject_pauli(states, u, cols, entry["p"], q, n, fired)
-            else:
-                q = op.qubit
-                bit = (np.arange(dim) >> q) & 1
-                p1 = np.einsum("ij,j->i", np.abs(states) ** 2, bit.astype(float))
-                p0 = 1.0 - p1
-                outcome = (u[:, entry["collapse_col"]] >= p0).astype(np.int64)
-                keep = bit[None, :] == outcome[:, None]
-                states *= keep
-                norm = np.sqrt(np.where(outcome == 1, p1, p0))
-                states /= norm[:, None]
-                recorded = outcome
-                if entry["readout_col"] is not None:
-                    flips = (u[:, entry["readout_col"]] < entry["p_read"]).astype(np.int64)
-                    recorded = outcome ^ flips
-                creg[:, op.clbit] = recorded
-
-        weights = 1 << np.arange(m, dtype=np.int64) if m else np.zeros(0, dtype=np.int64)
-        codes[start:stop] = creg @ weights if m else 0
-    return Counts.from_codes(codes, m)
+        _, creg, group = _evolve(circuit, layout, uniforms[start : start + chunk])
+        codes[start : start + chunk] = (creg @ weights)[group]
+    return Counts.from_codes(codes, circuit.num_clbits)
 
 
 def enumerate_branches(circuit: Circuit) -> list[Branch]:
-    """Walk every nonzero-probability measurement outcome of a circuit.
+    """Every nonzero-probability measurement outcome of a circuit.
 
-    Returns one Branch per leaf, with the classical register, the exact
-    branch probability, and the final statevector.  Raises SimulationError
-    if more than 2**16 branches would be produced.
+    Returns one Branch per leaf, in depth-first order (outcome 0 before 1),
+    with the classical register, the exact branch probability, and the
+    final statevector.  Raises SimulationError if more than 2**16 branches
+    would be produced.
     """
     circuit.validate()
-    n = circuit.num_qubits
-    dim = 2**n
-    state0 = np.zeros(dim, dtype=complex)
-    state0[0] = 1.0
-    branches: list[Branch] = []
-
-    def walk(state: np.ndarray, prob: float, creg: tuple[int, ...], pos: int) -> None:
-        for i in range(pos, len(circuit.ops)):
-            op = circuit.ops[i]
-            if op.kind == "gate":
-                state = apply_unitary(state, gate(op.name).matrix, op.targets, n)
-            elif op.kind == "cond":
-                if creg[op.clbit] == 1:
-                    state = apply_unitary(state, gate(op.name).matrix, op.targets, n)
-            else:
-                bit = (np.arange(dim) >> op.qubit) & 1
-                p1 = float((np.abs(state) ** 2)[bit == 1].sum())
-                outcomes = ((0, 1.0 - p1), (1, p1))
-                for value, p in outcomes:
-                    if p <= _BRANCH_EPS:
-                        continue
-                    sub = np.where(bit == value, state, 0.0) / np.sqrt(p)
-                    reg = list(creg)
-                    reg[op.clbit] = value
-                    walk(sub, prob * p, tuple(reg), i + 1)
-                return
-        if len(branches) >= MAX_BRANCHES:
-            raise SimulationError(f"branch count exceeds {MAX_BRANCHES}")
+    states, creg, prob = _evolve(circuit, _draw_layout(circuit, None)[0], None)
+    branches = []
+    for state, reg, p in zip(states, creg.tolist(), prob.tolist()):
         final = state.copy()
         final.setflags(write=False)
-        branches.append(Branch(clbits=creg, probability=prob, state=final))
-
-    walk(state0, 1.0, (0,) * circuit.num_clbits, 0)
+        branches.append(Branch(clbits=tuple(reg), probability=p, state=final))
     return branches
 
 

@@ -84,16 +84,16 @@ def apply_unitary(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...]
             raise ValueError(f"target qubit {q} out of range for {num_qubits} qubits")
 
     batch_shape = amps.shape[:-1]
-    t = amps.reshape(batch_shape + (2,) * num_qubits)
-    # Qubit q sits on axis (num_qubits - 1 - q) past the batch axes.
+    # Qubit q sits on axis (num_qubits - 1 - q) past the batch axes; the
+    # target axes move, in order, to just past the batch axes and back.
     nb = len(batch_shape)
     axes = [nb + num_qubits - 1 - q for q in targets]
-    t = np.moveaxis(t, axes, range(nb, nb + k))
+    order = list(range(nb)) + axes + [a for a in range(nb, nb + num_qubits) if a not in axes]
+    t = amps.reshape(batch_shape + (2,) * num_qubits).transpose(order)
     moved = t.shape
     t = t.reshape(batch_shape + (2**k, -1))
     t = np.einsum("ij,...jk->...ik", matrix, t)
-    t = t.reshape(moved)
-    t = np.moveaxis(t, range(nb, nb + k), axes)
+    t = t.reshape(moved).transpose(sorted(range(len(order)), key=order.__getitem__))
     return t.reshape(batch_shape + (2**num_qubits,))
 
 

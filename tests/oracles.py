@@ -4,7 +4,10 @@ Everything here is dense matrices and explicit index arithmetic, with no
 use of the package's state engine, so the two implementations can check
 each other.  Conventions match the package: qubit 0 is the least
 significant bit of the amplitude index, and a multi-qubit gate lists its
-targets most significant first.
+targets most significant first.  The one exception is walk_branches, a
+frozen copy of the package's former recursive branch walk: it applies
+gates with the package kernel on purpose, so the branches of the current
+engine can be compared with it bit for bit.
 """
 
 from __future__ import annotations
@@ -140,3 +143,101 @@ def random_density(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
 def random_pure(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def trajectory_counts(circuit, noise, shots: int, seed: int) -> dict[str, int]:
+    """Sampled counts from a plain loop that carries one statevector per shot.
+
+    The draws are the package's: one Philox row per shot, keyed by the seed,
+    with columns taken in program order.  A gate or cond op with nonzero
+    depolarizing probability takes (trigger, choice) per touched qubit,
+    fired or not; a measurement takes a collapse column, plus a readout
+    column when readout error is on.  A Pauli X, Y or Z, picked by
+    int(3 * choice), follows a fired gate when trigger < p.  The outcome is 1
+    when the collapse draw is >= P(0); the recorded bit is flipped when the
+    readout draw is < p_read, and cond ops read the recorded bit.
+    """
+    p1, p2, p_read = (0.0, 0.0, 0.0) if noise is None else (noise.p1, noise.p2, noise.p_read)
+    n, m = circuit.num_qubits, circuit.num_clbits
+    ncols = 0
+    for op in circuit.ops:
+        if op.kind == "measure":
+            ncols += 2 if p_read > 0.0 else 1
+        elif (p1 if len(op.targets) == 1 else p2) > 0.0:
+            ncols += 2 * len(op.targets)
+    draws = np.random.Generator(np.random.Philox(key=seed)).random((shots, max(ncols, 1)))
+    lifted: dict = {}
+
+    def apply(name: str, targets: tuple[int, ...], psi: np.ndarray) -> np.ndarray:
+        if (name, targets) not in lifted:
+            lifted[name, targets] = lift(GATE_MATRICES[name], targets, n)
+        return lifted[name, targets] @ psi
+
+    index = np.arange(1 << n)
+    counts: dict[str, int] = {}
+    for row in draws:
+        psi = np.zeros(1 << n, dtype=complex)
+        psi[0] = 1.0
+        creg = [0] * m
+        col = 0
+        for op in circuit.ops:
+            if op.kind == "measure":
+                one = ((index >> op.qubit) & 1) == 1
+                p0 = 1.0 - float(np.sum(np.abs(psi[one]) ** 2))
+                outcome = int(row[col] >= p0)
+                col += 1
+                psi = np.where(one == bool(outcome), psi, 0.0)
+                psi = psi / np.linalg.norm(psi)
+                if p_read > 0.0:
+                    outcome ^= int(row[col] < p_read)
+                    col += 1
+                creg[op.clbit] = outcome
+                continue
+            fired = op.kind == "gate" or creg[op.clbit] == 1
+            if fired:
+                psi = apply(op.name, op.targets, psi)
+            p = p1 if len(op.targets) == 1 else p2
+            if p > 0.0:
+                for q in op.targets:
+                    if fired and row[col] < p:
+                        psi = apply(("X", "Y", "Z")[int(row[col + 1] * 3.0)], (q,), psi)
+                    col += 2
+        key = "".join(str(b) for b in reversed(creg))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def walk_branches(circuit) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
+    """(clbits, probability, state) per leaf from a depth-first recursive walk.
+
+    Outcome 0 is walked before outcome 1 and outcomes of probability at most
+    1e-14 are pruned.  Gates go through qss.states.apply_unitary, as in the
+    package's former engine, so results are comparable bit for bit.
+    """
+    from qss.gates import gate
+    from qss.states import apply_unitary
+
+    n = circuit.num_qubits
+    state0 = np.zeros(1 << n, dtype=complex)
+    state0[0] = 1.0
+    leaves = []
+
+    def walk(state, prob, creg, pos):
+        for i in range(pos, len(circuit.ops)):
+            op = circuit.ops[i]
+            if op.kind == "gate" or (op.kind == "cond" and creg[op.clbit] == 1):
+                state = apply_unitary(state, gate(op.name).matrix, op.targets, n)
+            elif op.kind == "measure":
+                bit = (np.arange(1 << n) >> op.qubit) & 1
+                p1 = float((np.abs(state) ** 2)[bit == 1].sum())
+                for value, p in ((0, 1.0 - p1), (1, p1)):
+                    if p <= 1e-14:
+                        continue
+                    reg = list(creg)
+                    reg[op.clbit] = value
+                    walk(np.where(bit == value, state, 0.0) / np.sqrt(p), prob * p, tuple(reg), i + 1)
+                return
+        leaves.append((creg, prob, state))
+
+    walk(state0, 1.0, (0,) * circuit.num_clbits, 0)
+    return leaves

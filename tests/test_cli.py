@@ -263,6 +263,14 @@ def test_calibrate_explicit_target(capsys):
     assert abs(payload["achieved"] - 0.82) <= 0.005
 
 
+@pytest.mark.parametrize("target", ["0.95", "0.2"])
+def test_calibrate_unreachable_target_is_a_runtime_failure(target, capsys):
+    assert run_cli("calibrate", "--target", target, "--seed", "0") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: target" in captured.err
+
+
 def test_usage_errors(capsys):
     assert run_cli() == 2
     capsys.readouterr()

@@ -14,6 +14,7 @@ from qss import (
     run_tomography,
     simulate_shots,
 )
+from qss.noise import CalibrationError
 
 from conftest import (
     CAL_ACHIEVED,
@@ -136,6 +137,15 @@ def test_fit_rejects_unreachable_targets():
         fit_depolarizing_detail(0.95, calibration_circuit(), seed=0)
     with pytest.raises(ValueError, match="is below"):
         fit_depolarizing_detail(0.30, calibration_circuit(), seed=0)
+
+
+def test_unreachable_target_is_a_calibration_error():
+    # a compute failure, told apart from bad arguments such as too few shots
+    with pytest.raises(CalibrationError, match="exceeds the noiseless value"):
+        fit_depolarizing_detail(0.95, calibration_circuit(), seed=0)
+    with pytest.raises(ValueError, match="at least 20000 shots") as info:
+        fit_depolarizing_detail(0.8, calibration_circuit(), shots=100)
+    assert not isinstance(info.value, CalibrationError)
 
 
 def test_fit_enforces_minimum_shots():

@@ -5,19 +5,30 @@ import pytest
 
 from qss import (
     Circuit,
+    NoiseModel,
+    ProtocolConfig,
     RunConfig,
     SimulationError,
+    assemble_circuit,
     enumerate_branches,
     equivalent_up_to_phase,
     exact_distribution,
     simulate_shots,
     unitary_of,
 )
+from qss.datasets import shipped_noise_model
 from qss.simulate import matrices_equal_up_to_phase
 import qss.simulate
 
 import oracles
-from test_states import random_op_sequence
+from test_states import GATE_POOL_1Q, random_op_sequence
+
+NOISE_MODELS = {
+    "none": None,
+    "zero": NoiseModel.zero(),
+    "shipped": shipped_noise_model(),
+    "heavy": NoiseModel(0.5, 0.5, 0.5),
+}
 
 
 def bell_circuit():
@@ -45,6 +56,52 @@ def test_chunk_size_does_not_change_results(monkeypatch):
     monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**5)
     chunked = simulate_shots(c, RunConfig(shots=1500, seed=4))
     assert baseline.counts == chunked.counts
+
+
+def random_feedforward_circuit(rng) -> Circuit:
+    """A 3-5 qubit circuit of gates, measurements and cond ops that read
+    already measured clbits."""
+    n = int(rng.integers(3, 6))
+    c = Circuit(n, 4)
+    measured: list[int] = []
+    for _ in range(4):
+        for name, targets in random_op_sequence(rng, n, int(rng.integers(1, 4))):
+            c.gate(name, *targets)
+        if measured and rng.random() < 0.7:
+            c.cond(GATE_POOL_1Q[rng.integers(len(GATE_POOL_1Q))], int(rng.integers(n)), int(rng.choice(measured)))
+        c.measure(int(rng.integers(n)), len(measured))
+        measured.append(len(measured))
+    return c
+
+
+@pytest.mark.parametrize("noise", sorted(NOISE_MODELS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_counts_match_trajectory_oracle(noise, seed, monkeypatch):
+    circuit = random_feedforward_circuit(np.random.default_rng(seed))
+    model = NOISE_MODELS[noise]
+    expected = oracles.trajectory_counts(circuit, model, shots=300, seed=seed)
+    cfg = RunConfig(shots=300, seed=seed)
+    assert simulate_shots(circuit, cfg, noise=model).counts == expected
+    # a few shots per batch, so a heavy-noise batch outgrows its groups
+    monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**7)
+    assert simulate_shots(circuit, cfg, noise=model).counts == expected
+
+
+def assert_branches_match_walk(circuit):
+    """Same leaves as the recursive walk, bit for bit and in the same order."""
+    got = [(b.clbits, b.probability, b.state.tobytes()) for b in enumerate_branches(circuit)]
+    assert got == [(clbits, p, state.tobytes()) for clbits, p, state in oracles.walk_branches(circuit)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_branches_match_recursive_walk(seed):
+    assert_branches_match_walk(random_feedforward_circuit(np.random.default_rng(100 + seed)))
+
+
+@pytest.mark.parametrize("mode", ["exact", "coherent"])
+@pytest.mark.parametrize("receiver", ["charlie", "bob"])
+def test_protocol_branches_match_recursive_walk(mode, receiver):
+    assert_branches_match_walk(assemble_circuit(ProtocolConfig(receiver=receiver, mode=mode)))
 
 
 def test_simulate_requires_sampled_mode():
@@ -125,6 +182,8 @@ def test_branch_limit_is_enforced(monkeypatch):
         c.gate("H", 0).measure(0, i)
     with pytest.raises(SimulationError, match="branch count"):
         enumerate_branches(c)
+    monkeypatch.setattr(qss.simulate, "MAX_BRANCHES", 16)
+    assert len(enumerate_branches(c)) == 16
 
 
 def test_repeated_measurement_is_consistent():
