@@ -12,8 +12,9 @@ are independent of batching and a zero-probability noise channel consumes no
 draws at all: a run with NoiseModel(0, 0, 0) is bit-identical to a noiseless
 run.  A Pauli hit moves only the shots it hits into new groups keyed by
 (group, Pauli); a measurement regroups every shot by (group, true outcome,
-recorded bit).  Memory scales with the distinct histories, at most one group
-per shot of a batch, plus the shots x columns draw array.
+recorded bit).  Both regroupings rank keys densely instead of sorting them,
+and a Pauli hit is an index gather with a phase, not a dense kernel.  Memory
+scales with one batch: at most one group per shot, plus its rows of draws.
 
 Exact runs weight each group by its probability instead: a measurement
 splits every group into its nonzero-probability outcomes, 0 before 1, so the
@@ -23,6 +24,7 @@ branches come out in depth-first order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -81,12 +83,36 @@ def _draw_layout(circuit: Circuit, noise: "NoiseModel | None") -> tuple[list[dic
     return layout, col
 
 
-def _compact(states: np.ndarray, creg: np.ndarray, group: np.ndarray, leaving: np.ndarray) -> int:
+def _regroup(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(key, return_inverse=True) for keys in [0, size), by dense
+    rank instead of a sort: the distinct keys ascending, and each key's index
+    among them."""
+    seen = np.zeros(size, dtype=bool)
+    seen[key] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
+
+
+@lru_cache(maxsize=None)  # at most 36 (n, q) pairs, as n <= 8
+def _pauli_tables(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather tables for X, Y, Z (rows 0-2) on qubit q of n qubits:
+    (P psi)[i] = phase[k, i] * psi[perm[k, i]], each phase one of +-1, +-i."""
+    idx = np.arange(2**n)
+    bit = (idx >> q) & 1
+    paulis = np.array(PAULIS[1:])
+    col = np.abs(paulis).argmax(axis=2)[:, bit]  # the nonzero entry of row `bit`
+    perm = idx ^ ((bit ^ col) << q)
+    phase = paulis[np.arange(3)[:, None], bit, col]
+    perm.setflags(write=False)
+    phase.setflags(write=False)
+    return perm, phase
+
+
+def _compact(states: np.ndarray, creg: np.ndarray, group: np.ndarray, g: int, leaving: np.ndarray) -> int:
     """Pack the groups still held by shots outside `leaving` into the first
     rows, renumber those shots, and return the new group count."""
     stay = np.ones(group.size, dtype=bool)
     stay[leaving] = False
-    live, group[stay] = np.unique(group[stay], return_inverse=True)
+    live, group[stay] = _regroup(group[stay], g)
     states[: live.size] = states[live]
     creg[: live.size] = creg[live]
     return live.size
@@ -129,7 +155,7 @@ def _evolve(circuit: Circuit, layout: list[dict], u: np.ndarray | None) -> tuple
                 shot_record = shot_outcome
                 if entry["readout_col"] is not None:
                     shot_record = shot_outcome ^ (u[:, entry["readout_col"]] < entry["p_read"])
-                keys, group = np.unique(group * 4 + shot_outcome * 2 + shot_record, return_inverse=True)
+                keys, group = _regroup(group * 4 + shot_outcome * 2 + shot_record, 4 * g)
                 parent, outcome, recorded = keys >> 2, (keys >> 1) & 1, keys & 1
                 p = np.where(outcome == 1, p1[parent], p0[parent])
             new = np.where(bit == outcome[:, None], states[parent], 0.0) / np.sqrt(p)[:, None]
@@ -149,21 +175,18 @@ def _evolve(circuit: Circuit, layout: list[dict], u: np.ndarray | None) -> tuple
                 continue
         states[rows] = apply_unitary(states[rows], gate(op.name).matrix, op.targets, n)
         for q, (trigger, choice) in zip(op.targets, entry["noise_cols"]):
-            hit = u[:, trigger] < entry["p"]
+            shots = np.flatnonzero(u[:, trigger] < entry["p"])
             if op.kind == "cond":
-                hit &= creg[group, op.clbit] == 1
-            shots = np.flatnonzero(hit)
+                shots = shots[creg[group[shots], op.clbit] == 1]
             if not shots.size:
                 continue
             which = (u[shots, choice] * 3.0).astype(np.int64)
-            keys, inv = np.unique(group[shots] * 3 + which, return_inverse=True)
-            new, reg = states[keys // 3], creg[keys // 3]
-            for k in range(3):
-                sel = keys % 3 == k
-                if sel.any():
-                    new[sel] = apply_unitary(new[sel], PAULIS[k + 1], (q,), n)
+            keys, inv = _regroup(group[shots] * 3 + which, 3 * g)
+            parent, pauli = np.divmod(keys, 3)
+            perm, phase = _pauli_tables(n, q)
+            new, reg = phase[pauli] * states[parent[:, None], perm[pauli]], creg[parent]
             if g + keys.size > cap:
-                g = _compact(states, creg, group, shots)
+                g = _compact(states, creg, group, g, shots)
             states[g : g + keys.size], creg[g : g + keys.size] = new, reg
             group[shots] = g + inv
             g += keys.size
@@ -182,14 +205,17 @@ def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" 
     circuit.validate()
     layout, ncols = _draw_layout(circuit, noise)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    uniforms = rng.random((cfg.shots, max(ncols, 1)))
 
     weights = 1 << np.arange(circuit.num_clbits, dtype=np.int64)
     codes = np.empty(cfg.shots, dtype=np.int64)
     chunk = max(1, _CHUNK_AMPS // 2**circuit.num_qubits)
     for start in range(0, cfg.shots, chunk):
-        _, creg, group = _evolve(circuit, layout, uniforms[start : start + chunk])
-        codes[start : start + chunk] = (creg @ weights)[group]
+        # Philox fills rows in order, so drawing per batch gives the same
+        # numbers as one shots x columns draw.  Neither a batch's draws nor
+        # its states buffer is held while the next batch runs.
+        stop = min(start + chunk, cfg.shots)
+        creg, group = _evolve(circuit, layout, rng.random((stop - start, max(ncols, 1))))[1:]
+        codes[start:stop] = (creg @ weights)[group]
     return Counts.from_codes(codes, circuit.num_clbits)
 
 

@@ -17,7 +17,9 @@ from qss import (
     unitary_of,
 )
 from qss.datasets import shipped_noise_model
-from qss.simulate import matrices_equal_up_to_phase
+from qss.gates import PAULIS
+from qss.simulate import _pauli_tables, _regroup, matrices_equal_up_to_phase
+from qss.states import apply_unitary
 import qss.simulate
 
 import oracles
@@ -85,6 +87,28 @@ def test_counts_match_trajectory_oracle(noise, seed, monkeypatch):
     # a few shots per batch, so a heavy-noise batch outgrows its groups
     monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**7)
     assert simulate_shots(circuit, cfg, noise=model).counts == expected
+
+
+@pytest.mark.parametrize("size, count", [(1, 1), (1, 50), (2, 1), (7, 3), (40, 1000), (4096, 300)])
+def test_regroup_matches_np_unique(size, count):
+    rng = np.random.default_rng(size * 1000 + count)
+    for key in (rng.integers(size, size=count), np.full(count, size - 1), np.full(count, 0)):
+        keys, inverse = _regroup(key, size)
+        expected_keys, expected_inverse = np.unique(key, return_inverse=True)
+        assert np.array_equal(keys, expected_keys)
+        assert np.array_equal(inverse, expected_inverse)
+        assert keys.dtype == expected_keys.dtype and inverse.dtype == expected_inverse.dtype
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pauli_gather_matches_dense_kernel(n):
+    rng = np.random.default_rng(n)
+    states = rng.normal(size=(6, 2**n)) + 1j * rng.normal(size=(6, 2**n))
+    for q in range(n):
+        perm, phase = _pauli_tables(n, q)
+        for k in (1, 2, 3):
+            gathered = phase[k - 1] * states[:, perm[k - 1]]
+            assert np.array_equal(gathered, apply_unitary(states, PAULIS[k], (q,), n))
 
 
 def assert_branches_match_walk(circuit):
