@@ -252,12 +252,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         f"fitted p = {detail.fitted_p:.6f}  achieved P(0) = {detail.achieved:.4f}  target = {detail.target:.4f}",
         f"converged = {detail.converged} after {detail.iterations} iterations",
     ]
-    if args.out:
-        atomic_write_text(args.out, text)
-        for line in summary:
-            print(line)
-    else:
-        sys.stdout.write(text)
+    _emit(args, text, summary)
     if not detail.converged:
         print("calibration did not converge", file=sys.stderr)
         return 1

@@ -31,7 +31,7 @@ import numpy as np
 
 from .circuit import Circuit, Counts, RunConfig
 from .gates import ATOL_EVOLUTION, PAULIS, gate
-from .states import apply_unitary
+from .states import _gather_tables, apply_unitary
 
 if TYPE_CHECKING:
     from .noise import NoiseModel
@@ -94,14 +94,12 @@ def _regroup(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)  # at most 36 (n, q) pairs, as n <= 8
 def _pauli_tables(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather tables for X, Y, Z (rows 0-2) on qubit q of n qubits:
-    (P psi)[i] = phase[k, i] * psi[perm[k, i]], each phase one of +-1, +-i."""
-    idx = np.arange(2**n)
-    bit = (idx >> q) & 1
-    paulis = np.array(PAULIS[1:])
-    col = np.abs(paulis).argmax(axis=2)[:, bit]  # the nonzero entry of row `bit`
-    perm = idx ^ ((bit ^ col) << q)
-    phase = paulis[np.arange(3)[:, None], bit, col]
+    """The gate kernel's tables for X, Y, Z (rows 0-2) on qubit q of n
+    qubits: (P psi)[i] = phase[k, i] * psi[perm[k, i]], each phase one of
+    +-1, +-i."""
+    tables = [_gather_tables(p.tobytes(), p.shape, (q,), n) for p in PAULIS[1:]]
+    perm = np.concatenate([t[0] for t in tables])
+    phase = np.concatenate([t[1] for t in tables])
     perm.setflags(write=False)
     phase.setflags(write=False)
     return perm, phase
@@ -268,8 +266,8 @@ def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL_
     """True when a = exp(i phi) * b for a single global phase."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    overlap = np.einsum("ij,ij->", b.conj(), a)
-    scale = np.einsum("ij,ij->", b.conj(), b).real
+    overlap = np.vdot(b, a)
+    scale = np.vdot(b, b).real
     if abs(overlap) < atol * scale:
         return False
     phase = overlap / abs(overlap)

@@ -8,6 +8,7 @@ rightmost throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,34 +68,66 @@ class StateVector:
         return DensityMatrix(np.outer(a, a.conj()))
 
 
-def apply_unitary(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """Apply a k-qubit unitary to target qubits of a batch of statevectors.
+@lru_cache(maxsize=512)
+def _gather_tables(
+    matrix_bytes: bytes, shape: tuple[int, ...], targets: tuple[int, ...], num_qubits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cached (perm, coef) tables of a complex matrix, given by its bytes
+    and shape, on target qubits; conventions are those of apply_unitary.
 
-    amps has shape (..., 2**num_qubits); a new array is returned.  targets
-    lists the qubits the matrix acts on, most significant first, so for a
-    two-qubit gate targets = (control, target).
+    Each table has shape (terms, 2**num_qubits), and the matrix maps psi
+    to sum_t coef[t] * psi[perm[t]].  Term t of output index i is the t-th
+    nonzero entry, in column order, of the matrix row that i's target bits
+    select, so the term count is the most nonzeros in any row: 1 for a
+    monomial matrix (every Pauli and every registry gate but H), 2 for H.
+    Rows with fewer nonzeros take zero coefficients.  The arrays are
+    read-only, as the cache hands them to every caller.  A failed check
+    raises, and so caches nothing.
     """
     k = len(targets)
-    if matrix.shape != (2**k, 2**k):
-        raise ValueError(f"matrix shape {matrix.shape} does not match {k} targets")
+    if shape != (2**k, 2**k):
+        raise ValueError(f"matrix shape {shape} does not match {k} targets")
     if len(set(targets)) != k:
         raise ValueError(f"duplicate target qubits in {targets}")
     for q in targets:
         if not 0 <= q < num_qubits:
             raise ValueError(f"target qubit {q} out of range for {num_qubits} qubits")
+    u = np.frombuffer(matrix_bytes, dtype=complex).reshape(shape)
+    idx = np.arange(2**num_qubits)
+    # Qubit targets[pos] carries the bit of weight 2**(k-1-pos) in the matrix index.
+    weights = [(k - 1 - pos, q) for pos, q in enumerate(targets)]
+    row = sum(((idx >> q) & 1) << w for w, q in weights)
+    spread = sum(((np.arange(2**k) >> w) & 1) << q for w, q in weights)
+    rest = idx & ~sum(1 << q for q in targets)
+    nonzero = u != 0
+    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, : max(1, nonzero.sum(axis=1).max())]
+    perm = (rest[:, None] | spread[cols[row]]).T.copy()
+    coef = np.take_along_axis(u, cols, axis=1)[row].T.copy()
+    perm.setflags(write=False)
+    coef.setflags(write=False)
+    return perm, coef
 
-    batch_shape = amps.shape[:-1]
-    # Qubit q sits on axis (num_qubits - 1 - q) past the batch axes; the
-    # target axes move, in order, to just past the batch axes and back.
-    nb = len(batch_shape)
-    axes = [nb + num_qubits - 1 - q for q in targets]
-    order = list(range(nb)) + axes + [a for a in range(nb, nb + num_qubits) if a not in axes]
-    t = amps.reshape(batch_shape + (2,) * num_qubits).transpose(order)
-    moved = t.shape
-    t = t.reshape(batch_shape + (2**k, -1))
-    t = np.einsum("ij,...jk->...ik", matrix, t)
-    t = t.reshape(moved).transpose(sorted(range(len(order)), key=order.__getitem__))
-    return t.reshape(batch_shape + (2**num_qubits,))
+
+def apply_unitary(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """Apply a k-qubit unitary to target qubits of a batch of statevectors.
+
+    amps has shape (..., 2**num_qubits); a new array is returned.  targets
+    lists the qubits the matrix acts on, most significant first, so for a
+    two-qubit gate targets = (control, target).  The gate is a gather with
+    coefficients from cached tables, elementwise on each row, so a row's
+    result does not depend on the rows batched beside it.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    perm, coef = _gather_tables(m.tobytes(), m.shape, tuple(targets), num_qubits)
+    amps = np.asarray(amps, dtype=complex)
+    # In place, as each fresh array of a large batch costs page faults.
+    out = amps.take(perm[0], axis=-1)
+    out *= coef[0]
+    for p, c in zip(perm[1:], coef[1:]):
+        term = amps.take(p, axis=-1)
+        term *= c
+        out += term
+    return out
 
 
 def apply_gate(state: StateVector, g: GateMatrix | str, targets: tuple[int, ...] | list[int]) -> StateVector:
@@ -202,10 +235,7 @@ def partial_trace(state: StateVector | DensityMatrix, keep: tuple[int, ...] | li
     becomes qubit 0 of the reduced system.
     """
     keep = sorted(set(int(q) for q in keep))
-    if isinstance(state, StateVector):
-        n = state.num_qubits
-    else:
-        n = state.num_qubits
+    n = state.num_qubits
     if not keep:
         raise ValueError("must keep at least one qubit")
     if keep[0] < 0 or keep[-1] >= n:

@@ -9,7 +9,7 @@ sphere to restore positivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -185,16 +185,7 @@ def run_tomography(
         counts = simulate_shots(circuit, cfg, noise=noise)
         marginals[basis] = counts.marginal(clbit)
     stokes = estimate_stokes(marginals["Z"], marginals["X"], marginals["Y"])
-    result = reconstruct(stokes, reference)
-    return TomographyResult(
-        stokes=result.stokes,
-        rho_raw=result.rho_raw,
-        rho_projected=result.rho_projected,
-        physical=result.physical,
-        fidelity_vs_reference=result.fidelity_vs_reference,
-        fidelity_raw_vs_reference=result.fidelity_raw_vs_reference,
-        basis_counts=marginals,
-    )
+    return replace(reconstruct(stokes, reference), basis_counts=marginals)
 
 
 def exact_stokes(base_circuit: Circuit, target_qubit: int) -> StokesVector:

@@ -17,9 +17,7 @@ from qss import (
     unitary_of,
 )
 from qss.datasets import shipped_noise_model
-from qss.gates import PAULIS
 from qss.simulate import _pauli_tables, _regroup, matrices_equal_up_to_phase
-from qss.states import apply_unitary
 import qss.simulate
 
 import oracles
@@ -102,13 +100,18 @@ def test_regroup_matches_np_unique(size, count):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_pauli_gather_matches_dense_kernel(n):
+    # Each row of the oracle's lifted Pauli holds one nonzero entry, so the
+    # reference is that entry times one amplitude, with no rounding.
     rng = np.random.default_rng(n)
     states = rng.normal(size=(6, 2**n)) + 1j * rng.normal(size=(6, 2**n))
+    rows = np.arange(2**n)
     for q in range(n):
         perm, phase = _pauli_tables(n, q)
-        for k in (1, 2, 3):
-            gathered = phase[k - 1] * states[:, perm[k - 1]]
-            assert np.array_equal(gathered, apply_unitary(states, PAULIS[k], (q,), n))
+        for k, name in enumerate(("X", "Y", "Z")):
+            dense = oracles.lift(oracles.GATE_MATRICES[name], (q,), n)
+            col = np.abs(dense).argmax(axis=1)
+            assert np.count_nonzero(dense) == 2**n
+            assert np.array_equal(phase[k] * states[:, perm[k]], dense[rows, col] * states[:, col])
 
 
 def assert_branches_match_walk(circuit):

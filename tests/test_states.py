@@ -1,11 +1,14 @@
 """Statevector evolution, measurement collapse, and partial traces,
 cross-checked against the dense index-arithmetic oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qss import DensityMatrix, StateVector, apply_gate, measure_z, partial_trace, probabilities
-from qss.states import apply_unitary
+from qss.gates import GATES, gate
+from qss.states import _gather_tables, apply_unitary
 
 import oracles
 
@@ -83,6 +86,87 @@ def test_apply_unitary_validates():
         apply_unitary(psi.amplitudes, oracles.GATE_MATRICES["X"], (2,), 2)
     with pytest.raises(ValueError, match="does not match"):
         apply_unitary(psi.amplitudes, oracles.GATE_MATRICES["X"], (0, 1), 2)
+    with pytest.raises(ValueError, match="does not match"):
+        apply_unitary(psi.amplitudes, np.eye(2).reshape(1, 4), (0,), 2)
+    # a rejected call caches nothing, so it keeps failing
+    with pytest.raises(ValueError, match="out of range"):
+        apply_unitary(psi.amplitudes, oracles.GATE_MATRICES["X"], (2,), 2)
+
+
+def random_unitary(rng, k):
+    q, r = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def kernel_tables(matrix, targets, n):
+    m = np.asarray(matrix, dtype=complex)
+    return _gather_tables(m.tobytes(), m.shape, targets, n)
+
+
+def assert_kernel_matches_lifting(matrix, targets, n, rng, reference=None):
+    """apply_unitary against the oracle's lifting of reference (default: the
+    matrix itself), on batch shapes (), (g,) and (a, b)."""
+    dense = oracles.lift(np.asarray(matrix if reference is None else reference, dtype=complex), targets, n)
+    flat = rng.normal(size=(6, 2**n)) + 1j * rng.normal(size=(6, 2**n))
+    for amps in (flat[0], flat, flat.reshape(2, 3, 2**n)):
+        got = apply_unitary(amps, matrix, targets, n)
+        assert got.shape == amps.shape
+        np.testing.assert_allclose(got, amps @ dense.T, atol=1e-12, err_msg=f"{targets} on {n} qubits")
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_apply_unitary_matches_lifting_on_every_target_tuple(n):
+    rng = np.random.default_rng(n)
+    for name, g in sorted(GATES.items()):
+        for targets in itertools.permutations(range(n), g.arity):
+            assert_kernel_matches_lifting(g.matrix, targets, n, rng, oracles.GATE_MATRICES[name])
+
+
+def test_apply_unitary_matches_lifting_on_wide_registers():
+    rng = np.random.default_rng(68)
+    for n in (6, 7, 8):
+        for name, g in sorted(GATES.items()):
+            tuples = list(itertools.permutations(range(n), g.arity))
+            for i in rng.choice(len(tuples), size=3, replace=False):
+                assert_kernel_matches_lifting(g.matrix, tuples[i], n, rng, oracles.GATE_MATRICES[name])
+
+
+def test_apply_unitary_takes_any_matrix():
+    rng = np.random.default_rng(29)
+    assert_kernel_matches_lifting(random_unitary(rng, 1), (2,), 4, rng)
+    assert_kernel_matches_lifting(random_unitary(rng, 2), (3, 0), 4, rng)
+    assert_kernel_matches_lifting(random_unitary(rng, 3), (1, 4, 0), 5, rng)
+    # a real rotation and a sparse, non-monomial controlled-H, as float64
+    c, s = np.cos(0.3), np.sin(0.3)
+    rotation = np.array([[c, -s], [s, c]])
+    controlled_h = np.eye(4)
+    controlled_h[2:, 2:] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    assert_kernel_matches_lifting(rotation, (1,), 3, rng)
+    assert_kernel_matches_lifting(controlled_h, (0, 2), 3, rng)
+    assert len(kernel_tables(controlled_h, (0, 2), 3)[0]) == 2
+
+
+def test_gather_tables_terms_and_read_only():
+    # one (perm, phase) term for a monomial matrix, one per nonzero of the
+    # fullest row otherwise
+    for name, g in GATES.items():
+        perm, coef = kernel_tables(g.matrix, tuple(range(g.arity)), 3)
+        assert perm.shape == coef.shape == ((2 if name == "H" else 1), 8)
+        assert not perm.flags.writeable and not coef.flags.writeable
+    perm, _ = kernel_tables(random_unitary(np.random.default_rng(3), 2), (0, 1), 2)
+    assert perm.shape == (4, 4)
+
+
+@pytest.mark.parametrize("g", [1, 3, 64, 700])
+def test_apply_unitary_rows_do_not_depend_on_the_batch(g):
+    rng = np.random.default_rng(g)
+    n = 4
+    batch = rng.normal(size=(g, 2**n)) + 1j * rng.normal(size=(g, 2**n))
+    cases = [(gate(name).matrix, targets) for name, targets in (("H", (2,)), ("T", (0,)), ("CNOT", (3, 1)))]
+    cases += [(random_unitary(rng, 2), (1, 2)), (random_unitary(rng, 3), (0, 3, 2))]
+    for matrix, targets in cases:
+        together = apply_unitary(batch, matrix, targets, n)
+        assert np.array_equal(together, np.array([apply_unitary(row, matrix, targets, n) for row in batch]))
 
 
 def test_probabilities_on_plus_state():
