@@ -6,7 +6,7 @@ noise with calibration, and Uhlmann fidelity."""
 from .circuit import Circuit, CircuitOp, Counts, RunConfig
 from .fidelity import fidelity, psd_sqrt, pure_state_fidelity, purity
 from .gates import GATES, GateMatrix, gate
-from .noise import NoiseModel, apply_noise_trajectory, fit_depolarizing, fit_depolarizing_detail
+from .noise import NoiseModel, fit_depolarizing_detail
 from .protocol import (
     ProtocolConfig,
     ProtocolTranscript,
@@ -27,7 +27,6 @@ from .routing import (
     TranspileReport,
     check_routing,
     decompose_swap,
-    reverse_control,
     route,
 )
 from .simulate import (
@@ -39,7 +38,7 @@ from .simulate import (
     simulate_shots,
     unitary_of,
 )
-from .states import DensityMatrix, StateVector, apply_gate, measure_z, partial_trace, probabilities
+from .states import DensityMatrix, StateVector, apply_gate, partial_trace
 from .stokes import StokesVector, density_from_stokes, stokes_from_density
 from .tomography import (
     TomographyJob,
@@ -76,7 +75,6 @@ __all__ = [
     "TranspileReport",
     "aggregate_receiver_counts",
     "apply_gate",
-    "apply_noise_trajectory",
     "assemble_circuit",
     "basis_change_fragment",
     "build_bell_measurement_fragment",
@@ -91,19 +89,15 @@ __all__ = [
     "exact_distribution",
     "exact_stokes",
     "fidelity",
-    "fit_depolarizing",
     "fit_depolarizing_detail",
     "gate",
-    "measure_z",
     "partial_trace",
     "pre_correction_reduced_dm",
-    "probabilities",
     "project_to_physical",
     "psd_sqrt",
     "pure_state_fidelity",
     "purity",
     "receiver_p0",
-    "reverse_control",
     "route",
     "run_protocol",
     "run_tomography",

@@ -8,7 +8,7 @@ keys render clbit 0 rightmost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .gates import gate
 from .states import MAX_QUBITS
 
 VALID_KINDS = ("gate", "measure", "cond")
-VALID_MODES = ("sampled", "exact")
 
 
 @dataclass(frozen=True)
@@ -53,17 +52,6 @@ class CircuitOp:
         if self.kind == "measure":
             return {"kind": "measure", "qubit": self.qubit, "clbit": self.clbit}
         return {"kind": "cond", "name": self.name, "targets": list(self.targets), "clbit": self.clbit}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CircuitOp":
-        kind = obj.get("kind")
-        if kind == "gate":
-            return cls(kind="gate", name=obj["name"], targets=tuple(obj["targets"]))
-        if kind == "measure":
-            return cls(kind="measure", qubit=int(obj["qubit"]), clbit=int(obj["clbit"]))
-        if kind == "cond":
-            return cls(kind="cond", name=obj["name"], targets=tuple(obj["targets"]), clbit=int(obj["clbit"]))
-        raise ValueError(f"unknown op kind {kind!r}")
 
 
 class Circuit:
@@ -144,12 +132,6 @@ class Circuit:
             "ops": [op.to_json() for op in self.ops],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Circuit":
-        c = cls(int(obj["qubits"]), int(obj["clbits"]), [CircuitOp.from_json(o) for o in obj["ops"]])
-        c.validate()
-        return c
-
 
 def bitstring(code: int, num_clbits: int) -> str:
     """Render a classical register value with clbit 0 rightmost."""
@@ -200,15 +182,17 @@ class Counts:
         return {"clbits": self.num_clbits, "counts": {k: self.counts[k] for k in sorted(self.counts)}}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Counts":
-        return cls({str(k): int(v) for k, v in obj["counts"].items()}, int(obj["clbits"]))
-
-    @classmethod
     def from_codes(cls, codes: np.ndarray, num_clbits: int) -> "Counts":
         """Tally integer register values into bitstring counts."""
         tally = np.bincount(codes, minlength=2**num_clbits)
         counts = {bitstring(i, num_clbits): int(n) for i, n in enumerate(tally) if n}
         return cls(counts, num_clbits)
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a seed outside the range of a Philox key."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -217,12 +201,8 @@ class RunConfig:
 
     shots: int = 8192
     seed: int = 0
-    mode: str = "sampled"
 
     def __post_init__(self) -> None:
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.mode not in VALID_MODES:
-            raise ValueError(f"mode must be one of {VALID_MODES}")
+        _check_seed(self.seed)

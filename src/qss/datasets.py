@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+from .fileio import parse_coupling, parse_noise
 from .noise import NoiseModel
 from .routing import CouplingGraph
 
@@ -22,8 +23,7 @@ def data_file_path(name: str) -> str:
 
 def load_ibmqx4_coupling() -> CouplingGraph:
     """The 5-qubit bowtie coupling map (directed CNOT edges)."""
-    obj = _load("ibmqx4.json")
-    return CouplingGraph.from_json(obj)
+    return parse_coupling(_load("ibmqx4.json"))
 
 
 def load_reference_runs() -> dict:
@@ -38,4 +38,4 @@ def load_shipped_calibration() -> dict:
 
 def shipped_noise_model() -> NoiseModel:
     """NoiseModel from the committed calibration file."""
-    return NoiseModel.from_json(load_shipped_calibration())
+    return parse_noise(load_shipped_calibration())

@@ -12,7 +12,9 @@ import json
 import os
 import tempfile
 
-from .circuit import Circuit
+import numpy as np
+
+from .circuit import VALID_KINDS, Circuit, CircuitOp
 from .routing import CouplingGraph
 from .noise import NoiseModel
 from .states import DensityMatrix
@@ -66,10 +68,6 @@ def dump_csv(rows: list[tuple], header: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(filename: str, rows: list[tuple], header: tuple[str, ...]) -> None:
-    atomic_write_text(filename, dump_csv(rows, header))
-
-
 def _require(obj: dict, key: str, path: str) -> object:
     if not isinstance(obj, dict):
         raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
@@ -78,18 +76,33 @@ def _require(obj: dict, key: str, path: str) -> object:
     return obj[key]
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _require_int(obj: dict, key: str, path: str) -> int:
     v = _require(obj, key, path)
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         raise SchemaError(f"{path}.{key}", f"expected an integer, got {v!r}")
     return v
 
 
 def _require_number(obj: dict, key: str, path: str) -> float:
     v = _require(obj, key, path)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not _is_number(v):
         raise SchemaError(f"{path}.{key}", f"expected a number, got {v!r}")
     return float(v)
+
+
+def _require_str(obj: dict, key: str, path: str) -> str:
+    v = _require(obj, key, path)
+    if not isinstance(v, str):
+        raise SchemaError(f"{path}.{key}", f"expected a string, got {v!r}")
+    return v
 
 
 def _require_list(obj: dict, key: str, path: str) -> list:
@@ -97,6 +110,29 @@ def _require_list(obj: dict, key: str, path: str) -> list:
     if not isinstance(v, list):
         raise SchemaError(f"{path}.{key}", f"expected a list, got {type(v).__name__}")
     return v
+
+
+def _parse_op(obj: object, path: str) -> CircuitOp:
+    """One op object; a wrong type or a missing key is reported at the
+    field's path, a bad value (kind, gate name, arity) at the op's."""
+    kind = _require(obj, "kind", path)
+    if kind not in VALID_KINDS:
+        raise SchemaError(path, f"unknown op kind {kind!r}")
+    fields: dict = {}
+    if kind == "measure":
+        fields["qubit"] = _require_int(obj, "qubit", path)
+    else:
+        fields["name"] = _require_str(obj, "name", path)
+        targets = _require_list(obj, "targets", path)
+        if not all(_is_int(t) for t in targets):
+            raise SchemaError(f"{path}.targets", f"expected a list of integers, got {targets!r}")
+        fields["targets"] = tuple(targets)
+    if kind != "gate":
+        fields["clbit"] = _require_int(obj, "clbit", path)
+    try:
+        return CircuitOp(kind=kind, **fields)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 def parse_circuit(obj: object, path: str = "$") -> Circuit:
@@ -107,16 +143,7 @@ def parse_circuit(obj: object, path: str = "$") -> Circuit:
         circuit = Circuit(qubits, clbits)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
-    from .circuit import CircuitOp
-
-    for i, op_obj in enumerate(ops):
-        op_path = f"{path}.ops[{i}]"
-        if not isinstance(op_obj, dict):
-            raise SchemaError(op_path, "expected an object")
-        try:
-            circuit.ops.append(CircuitOp.from_json(op_obj))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SchemaError(op_path, str(exc)) from exc
+    circuit.ops = [_parse_op(op, f"{path}.ops[{i}]") for i, op in enumerate(ops)]
     try:
         circuit.validate()
     except ValueError as exc:
@@ -129,7 +156,7 @@ def parse_coupling(obj: object, path: str = "$") -> CouplingGraph:
     edges = _require_list(obj, "edges", path)
     pairs = []
     for i, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
             raise SchemaError(f"{path}.edges[{i}]", f"expected a [control, target] pair, got {e!r}")
         pairs.append((e[0], e[1]))
     try:
@@ -140,10 +167,17 @@ def parse_coupling(obj: object, path: str = "$") -> CouplingGraph:
 
 def parse_density_matrix(obj: object, path: str = "$") -> DensityMatrix:
     dim = _require_int(obj, "dim", path)
-    re = _require_list(obj, "re", path)
-    im = _require_list(obj, "im", path)
+    parts = []
+    for key in ("re", "im"):
+        rows = _require_list(obj, key, path)
+        if not all(isinstance(row, list) and all(_is_number(x) for x in row) for row in rows):
+            raise SchemaError(f"{path}.{key}", "expected a list of rows of numbers")
+        parts.append(rows)
+    if any(len(rows) != dim or any(len(row) != dim for row in rows) for rows in parts):
+        raise SchemaError(path, f"re/im shape does not match dim {dim}")
+    re, im = (np.array(rows, dtype=float) for rows in parts)
     try:
-        return DensityMatrix.from_json({"dim": dim, "re": re, "im": im})
+        return DensityMatrix(re + 1j * im)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 

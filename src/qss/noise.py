@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Counts, RunConfig
+from .circuit import Circuit, RunConfig
 from .simulate import exact_distribution, simulate_shots
 
 
@@ -45,17 +45,6 @@ class NoiseModel:
 
     def to_json(self) -> dict:
         return {"p1": self.p1, "p2": self.p2, "p_read": self.p_read}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NoiseModel":
-        return cls(float(obj["p1"]), float(obj["p2"]), float(obj["p_read"]))
-
-
-def apply_noise_trajectory(circuit: Circuit, noise: NoiseModel, cfg: RunConfig) -> Counts:
-    """Sampled run of a circuit under a trajectory noise model."""
-    if noise is None:
-        raise ValueError("noise model must be provided; use simulate_shots for noiseless runs")
-    return simulate_shots(circuit, cfg, noise=noise)
 
 
 @dataclass(frozen=True)
@@ -154,15 +143,3 @@ def fit_depolarizing_detail(
         iterations=iterations,
         converged=converged,
     )
-
-
-def fit_depolarizing(
-    target_p0: float,
-    circuit: Circuit,
-    p_read: float = 0.02,
-    shots: int = 20000,
-    seed: int = 0,
-    clbit: int | None = None,
-) -> float:
-    """Fitted depolarizing probability; see fit_depolarizing_detail."""
-    return fit_depolarizing_detail(target_p0, circuit, p_read, shots, seed, clbit).fitted_p

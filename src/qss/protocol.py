@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, CircuitOp, Counts, RunConfig
+from .circuit import Circuit, CircuitOp, Counts, RunConfig, _check_seed
 from .gates import gate
 from .noise import NoiseModel
 from .simulate import enumerate_branches, simulate_shots
@@ -74,8 +74,7 @@ class ProtocolConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.mode == "sampled" and self.shots < 1:
             raise ValueError("sampled mode needs shots >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
         if self.noise is not None and self.mode != "sampled":
             raise ValueError("trajectory noise requires sampled mode")
 

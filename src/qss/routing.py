@@ -88,10 +88,6 @@ class CouplingGraph:
     def to_json(self) -> dict:
         return {"qubits": self.num_physical, "edges": [list(e) for e in self.edges]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CouplingGraph":
-        return cls(int(obj["qubits"]), tuple((int(c), int(t)) for c, t in obj["edges"]))
-
 
 class QubitMapping:
     """Injective placement of logical wires onto physical wires."""
@@ -135,10 +131,6 @@ class QubitMapping:
     def to_json(self) -> dict:
         return {str(q): p for q, p in sorted(self.l2p.items())}
 
-    @classmethod
-    def from_json(cls, obj: dict, num_physical: int) -> "QubitMapping":
-        return cls({int(q): int(p) for q, p in obj.items()}, num_physical)
-
 
 @dataclass
 class TranspileReport:
@@ -173,6 +165,9 @@ def _cond_aware(kind: str, name: str, targets: tuple[int, ...], clbit: int | Non
 
 
 def _reversed_cnot(control: int, target: int, kind: str = "gate", clbit: int | None = None) -> list[CircuitOp]:
+    """CNOT(control -> target) through the opposite orientation: H(control),
+    H(target), CNOT(target -> control), H(control), H(target); unitary-equal
+    to the requested CNOT."""
     return [
         _cond_aware(kind, "H", (control,), clbit),
         _cond_aware(kind, "H", (target,), clbit),
@@ -182,19 +177,10 @@ def _reversed_cnot(control: int, target: int, kind: str = "gate", clbit: int | N
     ]
 
 
-def reverse_control(control: int, target: int) -> list[CircuitOp]:
-    """CNOT(control -> target) realized through the opposite orientation.
-
-    Emits H(control), H(target), CNOT(target -> control), H(control),
-    H(target); unitary-equal to the requested CNOT.
-    """
-    return _reversed_cnot(control, target)
-
-
 def decompose_swap(a: int, b: int, graph: CouplingGraph) -> list[CircuitOp]:
     """SWAP(a, b) as three alternating CNOTs legal on a directed edge.
 
-    The shape is CNOT(a->b), CNOT(b->a), CNOT(a->b), with reverse_control
+    The shape is CNOT(a->b), CNOT(b->a), CNOT(a->b), with _reversed_cnot
     substituted for whichever orientation the graph lacks.
     """
     if not graph.has_link(a, b):
@@ -203,7 +189,7 @@ def decompose_swap(a: int, b: int, graph: CouplingGraph) -> list[CircuitOp]:
     def cnot(c: int, t: int) -> list[CircuitOp]:
         if graph.allows(c, t):
             return [CircuitOp(kind="gate", name="CNOT", targets=(c, t))]
-        return reverse_control(c, t)
+        return _reversed_cnot(c, t)
 
     return cnot(a, b) + cnot(b, a) + cnot(a, b)
 

@@ -198,8 +198,6 @@ def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" 
     collapse uses the true outcome while the recorded bit may be flipped by
     readout error.
     """
-    if cfg.mode != "sampled":
-        raise ValueError(f"simulate_shots requires sampled mode, got {cfg.mode!r}")
     circuit.validate()
     layout, ncols = _draw_layout(circuit, noise)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))

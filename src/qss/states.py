@@ -140,35 +140,6 @@ def apply_gate(state: StateVector, g: GateMatrix | str, targets: tuple[int, ...]
     return StateVector(apply_unitary(state.amplitudes, g.matrix, targets, state.num_qubits))
 
 
-def probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
-    """Z-basis outcome probabilities (p0, p1) for one qubit."""
-    n = state.num_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range")
-    probs = np.abs(state.amplitudes) ** 2
-    idx = np.arange(probs.size)
-    mask1 = (idx >> qubit) & 1 == 1
-    p1 = float(probs[mask1].sum())
-    return 1.0 - p1, p1
-
-
-def measure_z(state: StateVector, qubit: int, randomness: float) -> tuple[int, StateVector]:
-    """Projective Z measurement driven by one uniform draw in [0, 1).
-
-    Returns (outcome, collapsed state).  Outcome is 0 when randomness < p0,
-    which keeps repeated runs reproducible for a fixed draw sequence.
-    """
-    if not 0.0 <= randomness < 1.0:
-        raise ValueError("randomness must lie in [0, 1)")
-    p0, _ = probabilities(state, qubit)
-    outcome = 0 if randomness < p0 else 1
-    idx = np.arange(state.amplitudes.size)
-    keep = ((idx >> qubit) & 1) == outcome
-    a = np.where(keep, state.amplitudes, 0.0)
-    a = a / np.linalg.norm(a)
-    return outcome, StateVector(a)
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace matrix; positivity is queried, not enforced.
@@ -217,15 +188,6 @@ class DensityMatrix:
             "re": self.matrix.real.tolist(),
             "im": self.matrix.imag.tolist(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DensityMatrix":
-        dim = obj["dim"]
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-        if re.shape != (dim, dim) or im.shape != (dim, dim):
-            raise ValueError(f"re/im shape does not match dim {dim}")
-        return cls(re + 1j * im)
 
 
 def partial_trace(state: StateVector | DensityMatrix, keep: tuple[int, ...] | list[int]) -> DensityMatrix:

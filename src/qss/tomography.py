@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import Circuit, CircuitOp, Counts, RunConfig
+from .circuit import Circuit, CircuitOp, Counts, RunConfig, _check_seed
 from .fidelity import fidelity, pure_state_fidelity
 from .noise import NoiseModel
 from .simulate import exact_distribution, simulate_shots
@@ -54,8 +54,7 @@ class TomographyJob:
                 raise ValueError("target qubit is already measured in the base circuit")
         if self.shots_per_basis < 1:
             raise ValueError("shots_per_basis must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
 
 
 def measurement_variant(job: TomographyJob, basis: str) -> tuple[Circuit, int]:

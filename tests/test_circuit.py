@@ -1,10 +1,13 @@
 """Circuit IR: op validation, JSON schema, counts containers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qss import Circuit, CircuitOp, Counts, RunConfig
 from qss.circuit import bitstring
+from qss.fileio import SchemaError, _parse_op, parse_circuit
 
 
 def test_op_kinds_and_validation():
@@ -35,9 +38,9 @@ def test_op_json_schema_and_round_trip():
     c = CircuitOp(kind="cond", name="Z", targets=(0,), clbit=2)
     assert c.to_json() == {"kind": "cond", "name": "Z", "targets": [0], "clbit": 2}
     for op in (g, m, c):
-        assert CircuitOp.from_json(op.to_json()) == op
-    with pytest.raises(ValueError, match="kind"):
-        CircuitOp.from_json({"kind": "barrier"})
+        assert _parse_op(op.to_json(), "$") == op
+    with pytest.raises(SchemaError, match="kind"):
+        _parse_op({"kind": "barrier"}, "$")
 
 
 def test_circuit_builder_is_chainable():
@@ -80,7 +83,7 @@ def test_validate_requires_measure_before_cond():
 
 def test_circuit_json_round_trip():
     c = Circuit(3, 2).gate("H", 2).gate("CNOT", 2, 0).measure(2, 0).cond("Z", 0, 0).measure(0, 1)
-    back = Circuit.from_json(c.to_json())
+    back = parse_circuit(c.to_json())
     assert back == c
     assert back.to_json() == c.to_json()
 
@@ -129,17 +132,16 @@ def test_counts_validation_and_json():
     c = Counts({"10": 2, "01": 1}, 2)
     j = c.to_json()
     assert list(j["counts"]) == ["01", "10"]
-    assert Counts.from_json(j).counts == c.counts
+    assert j == {"clbits": 2, "counts": {"01": 1, "10": 2}}
 
 
 def test_run_config_validation():
     cfg = RunConfig()
-    assert cfg.shots == 8192 and cfg.seed == 0 and cfg.mode == "sampled"
+    assert cfg.shots == 8192 and cfg.seed == 0
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["shots", "seed"]
     with pytest.raises(ValueError, match="shots"):
         RunConfig(shots=0)
     with pytest.raises(ValueError, match="seed"):
         RunConfig(seed=-1)
     with pytest.raises(ValueError, match="seed"):
         RunConfig(seed=2**64)
-    with pytest.raises(ValueError, match="mode"):
-        RunConfig(mode="fast")

@@ -223,6 +223,14 @@ def test_transpile_missing_and_malformed_inputs(tmp_path, monkeypatch, capsys):
     assert "$" in capsys.readouterr().err
 
 
+def test_transpile_rejects_non_integer_wires(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(COUPLING_ENV, raising=False)
+    bad = tmp_path / "bad.json"
+    write_json(str(bad), {"qubits": 2, "clbits": 0, "ops": [{"kind": "gate", "name": "CNOT", "targets": [0, 1.7]}]})
+    assert run_cli("transpile", str(bad)) == 2
+    assert "$.ops[0].targets" in capsys.readouterr().err
+
+
 def test_fidelity_frozen_output(tmp_path, capsys):
     a = rho_file(tmp_path, "a.json", RHO_SECRET)
     b = rho_file(tmp_path, "b.json", RHO_HW)

@@ -5,7 +5,19 @@ import os
 import numpy as np
 import pytest
 
-from qss import Circuit, DensityMatrix, NoiseModel
+from qss import (
+    Circuit,
+    CouplingGraph,
+    DensityMatrix,
+    NoiseModel,
+    ProtocolConfig,
+    TomographyJob,
+    assemble_circuit,
+    datasets,
+    route,
+    run_protocol,
+    run_tomography,
+)
 from qss.fileio import (
     SchemaError,
     atomic_write_text,
@@ -18,6 +30,7 @@ from qss.fileio import (
     read_json,
     write_json,
 )
+from qss.noise import FitResult
 
 
 def test_schema_error_carries_path():
@@ -93,6 +106,10 @@ def test_parse_circuit_error_paths():
             }
         )
     assert info.value.path == "$.ops[0]"
+    for op in ({"kind": "barrier"}, {"kind": "gate", "name": "CNOT", "targets": [0]}):
+        with pytest.raises(SchemaError) as info:
+            parse_circuit({"qubits": 2, "clbits": 0, "ops": [op]})
+        assert info.value.path == "$.ops[0]"
     # structurally valid ops that fail whole-circuit validation
     with pytest.raises(SchemaError) as info:
         parse_circuit(
@@ -108,6 +125,49 @@ def test_parse_circuit_error_paths():
     assert info.value.path == "$.qubits"
 
 
+def _one_op(op: dict) -> dict:
+    return {"qubits": 3, "clbits": 2, "ops": [{"kind": "measure", "qubit": 2, "clbit": 1}, op]}
+
+
+@pytest.mark.parametrize(
+    "op, path",
+    [
+        ({"kind": "measure", "qubit": 1.7, "clbit": 0}, "$.ops[1].qubit"),
+        ({"kind": "measure", "qubit": "1", "clbit": 0}, "$.ops[1].qubit"),
+        ({"kind": "measure", "qubit": 1, "clbit": True}, "$.ops[1].clbit"),
+        ({"kind": "measure", "qubit": True, "clbit": 0}, "$.ops[1].qubit"),
+        ({"kind": "gate", "name": "X", "targets": [0.9]}, "$.ops[1].targets"),
+        ({"kind": "gate", "name": "X", "targets": [True]}, "$.ops[1].targets"),
+        ({"kind": "gate", "name": "CNOT", "targets": "01"}, "$.ops[1].targets"),
+        ({"kind": "gate", "name": 5, "targets": [0]}, "$.ops[1].name"),
+        ({"kind": "gate", "name": ["X"], "targets": [0]}, "$.ops[1].name"),
+        ({"kind": "cond", "name": "X", "targets": [0], "clbit": 1.0}, "$.ops[1].clbit"),
+        ({"kind": "cond", "name": "X", "targets": [False], "clbit": 1}, "$.ops[1].targets"),
+    ],
+)
+def test_parse_circuit_rejects_non_integer_wires(op, path):
+    with pytest.raises(SchemaError, match="expected") as info:
+        parse_circuit(_one_op(op))
+    assert info.value.path == path
+
+
+@pytest.mark.parametrize(
+    "op, path",
+    [
+        ({"name": "X", "targets": [0]}, "$.ops[1].kind"),
+        ({"kind": "gate", "name": "X"}, "$.ops[1].targets"),
+        ({"kind": "gate", "targets": [0]}, "$.ops[1].name"),
+        ({"kind": "measure", "clbit": 0}, "$.ops[1].qubit"),
+        ({"kind": "measure", "qubit": 0}, "$.ops[1].clbit"),
+        ({"kind": "cond", "name": "X", "targets": [0]}, "$.ops[1].clbit"),
+    ],
+)
+def test_parse_circuit_missing_op_key(op, path):
+    with pytest.raises(SchemaError, match="missing required key") as info:
+        parse_circuit(_one_op(op))
+    assert info.value.path == path
+
+
 def test_parse_coupling_round_trip_and_errors(ibmqx4):
     parsed = parse_coupling(ibmqx4.to_json())
     assert parsed.to_json() == ibmqx4.to_json()
@@ -120,6 +180,10 @@ def test_parse_coupling_round_trip_and_errors(ibmqx4):
     with pytest.raises(SchemaError) as info:
         parse_coupling({"edges": []})
     assert info.value.path == "$.qubits"
+    for edge in ([True, False], [0, 1.0], ["0", 1]):
+        with pytest.raises(SchemaError) as info:
+            parse_coupling({"qubits": 2, "edges": [[1, 0], edge]})
+        assert info.value.path == "$.edges[1]"
 
 
 def test_parse_density_matrix(tmp_path):
@@ -132,6 +196,55 @@ def test_parse_density_matrix(tmp_path):
     with pytest.raises(SchemaError) as info:
         parse_density_matrix({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]})
     assert info.value.path == "$"
+
+
+@pytest.mark.parametrize(
+    "re, im, path",
+    [
+        ([["1", 0], [0, 0]], [[0, 0], [0, 0]], "$.re"),
+        ([[True, 0], [0, False]], [[0, 0], [0, 0]], "$.re"),
+        ([[1, 0], [0, 0]], [[0, "0"], [0, 0]], "$.im"),
+        ([[1, 0], [0, 0]], [[0, 0], [False, 0]], "$.im"),
+        ([[1, 0], 0], [[0, 0], [0, 0]], "$.re"),
+        ([[1, 0], [0, 0]], [[0, 0], [0]], "$"),
+    ],
+)
+def test_parse_density_matrix_rejects_non_numbers(re, im, path):
+    with pytest.raises(SchemaError) as info:
+        parse_density_matrix({"dim": 2, "re": re, "im": im})
+    assert info.value.path == path
+
+
+def test_parse_reads_every_to_json_writer(ibmqx4):
+    """Each JSON writer's output reads back through the matching parser."""
+    coherent = assemble_circuit(ProtocolConfig(mode="coherent"))
+    for circuit in (coherent, assemble_circuit(ProtocolConfig(mode="sampled", receiver="bob"))):
+        assert parse_circuit(circuit.to_json()) == circuit
+    report = route(coherent, ibmqx4)
+    assert parse_circuit(report.to_json()["circuit"]) == report.circuit
+    assert parse_coupling(ibmqx4.to_json()) == ibmqx4
+    assert parse_coupling(CouplingGraph(1, ()).to_json()) == CouplingGraph(1, ())
+    for model in (NoiseModel.zero(), NoiseModel(0.01, 0.03, 0.02), NoiseModel.depolarizing(1.0, 1.0)):
+        assert parse_noise(model.to_json()) == model
+    (transcript,) = run_protocol(ProtocolConfig(mode="coherent"))
+    tomo = run_tomography(TomographyJob(base_circuit=coherent, target_qubit=0, shots_per_basis=256, seed=4))
+    written = [(transcript.to_json()["reduced_dm"], transcript.receiver_reduced_dm)]
+    written += [(tomo.to_json()[key], getattr(tomo, key)) for key in ("rho_raw", "rho_projected")]
+    for payload, rho in written:
+        assert np.array_equal(parse_density_matrix(payload).matrix, rho.matrix)
+    fit = FitResult(fitted_p=0.0125, target=0.8, achieved=0.801, p_read=0.02, iterations=3, converged=True)
+    assert parse_noise(fit.to_json()) == fit.model()
+
+
+def test_bundled_data_goes_through_the_schema_checks(monkeypatch):
+    monkeypatch.setattr(datasets, "_load", lambda name: {"qubits": 5, "edges": [[True, False]]})
+    with pytest.raises(SchemaError) as info:
+        datasets.load_ibmqx4_coupling()
+    assert info.value.path == "$.edges[0]"
+    monkeypatch.setattr(datasets, "_load", lambda name: {"p1": "0.01", "p2": 0.01, "p_read": 0.02})
+    with pytest.raises(SchemaError) as info:
+        datasets.shipped_noise_model()
+    assert info.value.path == "$.p1"
 
 
 def test_parse_noise():

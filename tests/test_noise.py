@@ -1,6 +1,5 @@
 """Trajectory noise model and the depolarizing-strength calibration."""
 
-import numpy as np
 import pytest
 
 from qss import (
@@ -8,12 +7,11 @@ from qss import (
     NoiseModel,
     RunConfig,
     TomographyJob,
-    apply_noise_trajectory,
-    fit_depolarizing,
     fit_depolarizing_detail,
     run_tomography,
     simulate_shots,
 )
+from qss.fileio import parse_noise
 from qss.noise import CalibrationError
 
 from conftest import (
@@ -41,7 +39,7 @@ def test_model_constructors_and_json():
     assert not m.is_zero()
     j = m.to_json()
     assert j == {"p1": 0.03, "p2": 0.03, "p_read": 0.01}
-    assert NoiseModel.from_json(j) == m
+    assert parse_noise(j) == m
 
 
 def test_zero_model_is_bit_exact_with_noiseless():
@@ -51,22 +49,14 @@ def test_zero_model_is_bit_exact_with_noiseless():
         c.measure(q, q)
     cfg = RunConfig(shots=4096, seed=9)
     plain = simulate_shots(c, cfg)
-    zeroed = apply_noise_trajectory(c, NoiseModel.zero(), cfg)
+    zeroed = simulate_shots(c, cfg, noise=NoiseModel.zero())
     assert plain.counts == zeroed.counts
-
-
-def test_trajectory_requires_a_model():
-    c = Circuit(1, 1).measure(0, 0)
-    with pytest.raises(ValueError, match="noise model must be provided"):
-        apply_noise_trajectory(c, None, RunConfig(shots=1, seed=0))
 
 
 def test_readout_flip_rate_matches_probability():
     # |0> measured with p_read = 0.05 should read 1 about 5% of the time
     c = Circuit(1, 1).measure(0, 0)
-    counts = apply_noise_trajectory(
-        c, NoiseModel(0.0, 0.0, 0.05), RunConfig(shots=100_000, seed=2)
-    )
+    counts = simulate_shots(c, RunConfig(shots=100_000, seed=2), noise=NoiseModel(0.0, 0.0, 0.05))
     p1 = counts.counts.get("1", 0) / counts.total
     assert p1 == pytest.approx(0.05, abs=0.003)
 
@@ -75,9 +65,7 @@ def test_single_qubit_depolarizing_rate():
     # X then measure: an inserted X or Y flips the outcome to 0, an
     # inserted Z leaves it at 1, so P(0) = (2/3) * p1
     c = Circuit(1, 1).gate("X", 0).measure(0, 0)
-    counts = apply_noise_trajectory(
-        c, NoiseModel(0.2, 0.0, 0.0), RunConfig(shots=100_000, seed=2)
-    )
+    counts = simulate_shots(c, RunConfig(shots=100_000, seed=2), noise=NoiseModel(0.2, 0.0, 0.0))
     assert counts.p0(0) == pytest.approx(2.0 / 15.0, abs=0.005)
 
 
@@ -85,9 +73,7 @@ def test_two_qubit_depolarizing_hits_both_wires():
     # CNOT on |00> is the identity; with p2 = 0.3 each wire is flipped by
     # an X or Y draw at rate (2/3) * 0.3 = 0.2
     c = Circuit(2, 2).gate("CNOT", 0, 1).measure(0, 0).measure(1, 1)
-    counts = apply_noise_trajectory(
-        c, NoiseModel(0.0, 0.3, 0.0), RunConfig(shots=100_000, seed=2)
-    )
+    counts = simulate_shots(c, RunConfig(shots=100_000, seed=2), noise=NoiseModel(0.0, 0.3, 0.0))
     for clbit in (0, 1):
         flips = 1.0 - counts.marginal(clbit).p0()
         assert flips == pytest.approx(0.2, abs=0.005)
@@ -121,7 +107,6 @@ def test_fit_reproduces_frozen_calibration():
     assert detail.iterations == CAL_ITERATIONS
     assert detail.target == 0.800
     assert detail.p_read == 0.02
-    assert fit_depolarizing(0.800, calibration_circuit(), seed=0) == detail.fitted_p
 
 
 def test_fit_against_noiseless_target_drives_p_to_zero():

@@ -57,6 +57,10 @@ def test_config_validation():
         ProtocolConfig(mode="fast")
     with pytest.raises(ValueError, match="shots"):
         ProtocolConfig(mode="sampled", shots=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            ProtocolConfig(seed=seed)
+    assert ProtocolConfig(seed=2**64 - 1).seed == 2**64 - 1
     with pytest.raises(ValueError, match="sampled"):
         from qss import NoiseModel
 

@@ -9,10 +9,10 @@ from qss import (
     QubitMapping,
     check_routing,
     decompose_swap,
-    reverse_control,
     route,
-    unitary_of,
 )
+from qss.fileio import parse_circuit, parse_coupling
+from qss.routing import _reversed_cnot
 
 import oracles
 from test_states import random_op_sequence
@@ -51,7 +51,7 @@ def test_shortest_paths_sorted_and_complete():
 
 
 def test_graph_json_round_trip(ibmqx4):
-    back = CouplingGraph.from_json(ibmqx4.to_json())
+    back = parse_coupling(ibmqx4.to_json())
     assert back.edges == ibmqx4.edges
     assert back.num_physical == ibmqx4.num_physical
 
@@ -64,12 +64,11 @@ def test_mapping_validation_and_swap():
     m = QubitMapping.identity(2, 4)
     m.swap_physical(0, 3)
     assert m.physical(0) == 3 and m.physical(1) == 1
-    back = QubitMapping.from_json(m.to_json(), 4)
-    assert back == m
+    assert m.to_json() == {"0": 3, "1": 1}
 
 
 def test_reverse_control_sequence_and_unitary():
-    ops = reverse_control(0, 1)
+    ops = _reversed_cnot(0, 1)
     assert [(op.name, op.targets) for op in ops] == [
         ("H", (0,)),
         ("H", (1,)),
@@ -268,5 +267,5 @@ def test_transpile_report_json(ibmqx4):
     j = report.to_json()
     assert set(j) == {"circuit", "initial_layout", "final_layout", "swaps", "reversals", "h_pairs"}
     assert j["h_pairs"] == 2 * j["reversals"]
-    rebuilt = Circuit.from_json(j["circuit"])
+    rebuilt = parse_circuit(j["circuit"])
     assert rebuilt == report.circuit

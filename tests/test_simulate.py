@@ -17,7 +17,7 @@ from qss import (
     unitary_of,
 )
 from qss.datasets import shipped_noise_model
-from qss.simulate import _pauli_tables, _regroup, matrices_equal_up_to_phase
+from qss.simulate import _draw_layout, _evolve, _pauli_tables, _regroup, matrices_equal_up_to_phase
 import qss.simulate
 
 import oracles
@@ -131,9 +131,24 @@ def test_protocol_branches_match_recursive_walk(mode, receiver):
     assert_branches_match_walk(assemble_circuit(ProtocolConfig(receiver=receiver, mode=mode)))
 
 
-def test_simulate_requires_sampled_mode():
-    with pytest.raises(ValueError, match="sampled"):
-        simulate_shots(bell_circuit(), RunConfig(mode="exact"))
+@pytest.mark.parametrize(
+    "prep, draws, outcomes",
+    [
+        ("H", [0.0, 0.3, 0.4999, 0.5001, 0.7, 0.999], [0, 0, 0, 1, 1, 1]),
+        ("X", [0.0, 0.5, 0.999], [1, 1, 1]),
+        ("Z", [0.0, 0.5, 0.999], [0, 0, 0]),
+    ],
+    ids=["plus", "one", "zero"],
+)
+def test_sampled_collapse_follows_the_draw(prep, draws, outcomes):
+    # A shot reads 0 exactly when its collapse draw lies below p0, and its
+    # state collapses onto the outcome's normalized basis state.
+    c = Circuit(1, 1).gate(prep, 0).measure(0, 0)
+    layout, ncols = _draw_layout(c, None)
+    assert ncols == 1
+    states, creg, group = _evolve(c, layout, np.array(draws)[:, None])
+    assert creg[group, 0].tolist() == outcomes
+    np.testing.assert_allclose(np.abs(states[group]), np.eye(2)[outcomes], atol=1e-12)
 
 
 def test_exact_distribution_single_hadamard():

@@ -1,4 +1,4 @@
-"""Statevector evolution, measurement collapse, and partial traces,
+"""Statevector evolution, density matrices and partial traces,
 cross-checked against the dense index-arithmetic oracle."""
 
 import itertools
@@ -6,7 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qss import DensityMatrix, StateVector, apply_gate, measure_z, partial_trace, probabilities
+from qss import DensityMatrix, StateVector, apply_gate, partial_trace
+from qss.fileio import SchemaError, parse_density_matrix
 from qss.gates import GATES, gate
 from qss.states import _gather_tables, apply_unitary
 
@@ -169,46 +170,6 @@ def test_apply_unitary_rows_do_not_depend_on_the_batch(g):
         assert np.array_equal(together, np.array([apply_unitary(row, matrix, targets, n) for row in batch]))
 
 
-def test_probabilities_on_plus_state():
-    psi = apply_gate(StateVector.zero(2), "H", (0,))
-    p0, p1 = probabilities(psi, 0)
-    assert p0 == pytest.approx(0.5, abs=1e-12)
-    assert p1 == pytest.approx(0.5, abs=1e-12)
-    p0, p1 = probabilities(psi, 1)
-    assert p0 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_measure_z_outcome_follows_the_draw():
-    psi = apply_gate(StateVector.zero(1), "H", (0,))
-    outcome, collapsed = measure_z(psi, 0, 0.3)
-    assert outcome == 0
-    assert abs(collapsed.amplitudes[0]) == pytest.approx(1.0)
-    outcome, collapsed = measure_z(psi, 0, 0.7)
-    assert outcome == 1
-    assert abs(collapsed.amplitudes[1]) == pytest.approx(1.0)
-
-
-def test_measure_z_certain_outcome():
-    psi = apply_gate(StateVector.zero(1), "X", (0,))
-    for draw in (0.0, 0.5, 0.999):
-        outcome, _ = measure_z(psi, 0, draw)
-        assert outcome == 1
-
-
-def test_measure_z_collapse_renormalizes():
-    # unequal superposition: amplitudes sqrt(1/3), sqrt(2/3)
-    amps = np.array([np.sqrt(1 / 3), np.sqrt(2 / 3)], dtype=complex)
-    outcome, collapsed = measure_z(StateVector(amps), 0, 0.9)
-    assert outcome == 1
-    assert np.linalg.norm(collapsed.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_measure_z_rejects_bad_draw():
-    psi = StateVector.zero(1)
-    with pytest.raises(ValueError, match="randomness"):
-        measure_z(psi, 0, 1.0)
-
-
 def test_inner_product():
     a = StateVector.zero(1)
     b = apply_gate(a, "H", (0,))
@@ -290,7 +251,7 @@ def test_density_matrix_allows_slightly_negative_eigenvalues():
 def test_density_matrix_json_round_trip():
     rng = np.random.default_rng(5)
     rho = DensityMatrix(oracles.random_density(rng, 4))
-    back = DensityMatrix.from_json(rho.to_json())
+    back = parse_density_matrix(rho.to_json())
     np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-15)
-    with pytest.raises(ValueError, match="shape"):
-        DensityMatrix.from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
+    with pytest.raises(SchemaError, match="shape"):
+        parse_density_matrix({"dim": 2, "re": [[1.0]], "im": [[0.0]]})

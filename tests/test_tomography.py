@@ -7,7 +7,6 @@ from qss import (
     Circuit,
     Counts,
     DensityMatrix,
-    ProtocolConfig,
     SecretSpec,
     StateVector,
     StokesVector,
@@ -54,6 +53,10 @@ def test_job_validation(coherent_circuit):
     measured = Circuit(2, 1).gate("H", 0).measure(0, 0)
     with pytest.raises(ValueError, match="already measured"):
         TomographyJob(base_circuit=measured, target_qubit=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            TomographyJob(base_circuit=coherent_circuit, target_qubit=0, seed=seed)
+    assert TomographyJob(base_circuit=coherent_circuit, target_qubit=0, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_measurement_variants_extend_without_mutating(coherent_circuit):
