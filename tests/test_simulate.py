@@ -151,6 +151,25 @@ def test_sampled_collapse_follows_the_draw(prep, draws, outcomes):
     np.testing.assert_allclose(np.abs(states[group]), np.eye(2)[outcomes], atol=1e-12)
 
 
+def test_sampled_collapse_renormalizes():
+    # Measuring one qubit of an entangled state with p0 = cos^2(pi/8) leaves
+    # the projection onto the outcome, divided by sqrt(p), on the other qubit.
+    ops = [("H", (0,)), ("T", (0,)), ("H", (0,)), ("H", (1,)), ("CNOT", (0, 1))]
+    c = Circuit(2, 1)
+    for name, targets in ops:
+        c.gate(name, *targets)
+    c.measure(0, 0)
+    psi = oracles.run_ops(ops, 2)
+    bit = np.arange(4) & 1
+    layout, _ = _draw_layout(c, None)
+    states, creg, group = _evolve(c, layout, np.array([[0.1], [0.9]]))
+    assert creg[group, 0].tolist() == [0, 1]
+    for value, row in zip((0, 1), states[group]):
+        p = float((np.abs(psi[bit == value]) ** 2).sum())
+        assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(row, np.where(bit == value, psi, 0.0) / np.sqrt(p), atol=1e-12)
+
+
 def test_exact_distribution_single_hadamard():
     c = Circuit(1, 1).gate("H", 0).measure(0, 0)
     dist = exact_distribution(c)
