@@ -8,6 +8,7 @@ keys render clbit 0 rightmost.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,17 @@ from .gates import gate
 from .states import MAX_QUBITS
 
 VALID_KINDS = ("gate", "measure", "cond")
+
+
+def _wire(v: object) -> int:
+    """A qubit or clbit index as a plain int.  Python and numpy integers
+    pass; bools, floats and strings raise TypeError."""
+    try:
+        if not isinstance(v, bool):
+            return operator.index(v)
+    except TypeError:
+        pass
+    raise TypeError(f"expected an integer wire, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -29,9 +41,12 @@ class CircuitOp:
     clbit: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown op kind {self.kind!r}")
+        object.__setattr__(self, "targets", tuple(_wire(t) for t in self.targets))
+        for name in ("qubit", "clbit"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _wire(getattr(self, name)))
         if self.kind in ("gate", "cond"):
             if self.name is None:
                 raise ValueError(f"{self.kind} op needs a gate name")
@@ -184,9 +199,12 @@ class Counts:
     @classmethod
     def from_codes(cls, codes: np.ndarray, num_clbits: int) -> "Counts":
         """Tally integer register values into bitstring counts."""
-        tally = np.bincount(codes, minlength=2**num_clbits)
-        counts = {bitstring(i, num_clbits): int(n) for i, n in enumerate(tally) if n}
-        return cls(counts, num_clbits)
+        return cls._from_tally(np.bincount(codes, minlength=2**num_clbits), num_clbits)
+
+    @classmethod
+    def _from_tally(cls, tally: np.ndarray, num_clbits: int) -> "Counts":
+        """Bitstring counts from a 2**num_clbits array of counts per value."""
+        return cls({bitstring(i, num_clbits): int(n) for i, n in enumerate(tally) if n}, num_clbits)
 
 
 def _check_seed(seed: int) -> None:

@@ -13,8 +13,12 @@ draws at all: a run with NoiseModel(0, 0, 0) is bit-identical to a noiseless
 run.  A Pauli hit moves only the shots it hits into new groups keyed by
 (group, Pauli); a measurement regroups every shot by (group, true outcome,
 recorded bit).  Both regroupings rank keys densely instead of sorting them,
-and a Pauli hit is an index gather with a phase, not a dense kernel.  Memory
-scales with one batch: at most one group per shot, plus its rows of draws.
+and a Pauli hit is an index gather with a phase, not a dense kernel.
+
+A batch holds at most _CHUNK_AMPS amplitudes of state capacity (one row per
+shot) and at most _CHUNK_AMPS uniform draws, or one shot if a single shot
+exceeds either.  Each batch is tallied into a 2**m counter as it finishes,
+so peak memory is O(_CHUNK_AMPS) whatever the shot count or circuit length.
 
 Exact runs weight each group by its probability instead: a measurement
 splits every group into its nonzero-probability outcomes, 0 before 1, so the
@@ -39,7 +43,7 @@ if TYPE_CHECKING:
 MAX_UNITARY_QUBITS = 5
 MAX_BRANCHES = 2**16
 _BRANCH_EPS = 1e-14
-_CHUNK_AMPS = 2**22
+_CHUNK_AMPS = 2**19
 
 
 class SimulationError(RuntimeError):
@@ -194,25 +198,27 @@ def _evolve(circuit: Circuit, layout: list[dict], u: np.ndarray | None) -> tuple
 def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" = None) -> Counts:
     """Sample a circuit's shots and tally classical register values.
 
-    Shots are processed in batches of _CHUNK_AMPS // 2**n; measurement
-    collapse uses the true outcome while the recorded bit may be flipped by
-    readout error.
+    Shots are processed in batches of _CHUNK_AMPS // max(2**n, draw
+    columns) shots, at least one, and each batch is tallied as it finishes;
+    measurement collapse uses the true outcome while the recorded bit may be
+    flipped by readout error.
     """
     circuit.validate()
     layout, ncols = _draw_layout(circuit, noise)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
-    weights = 1 << np.arange(circuit.num_clbits, dtype=np.int64)
-    codes = np.empty(cfg.shots, dtype=np.int64)
-    chunk = max(1, _CHUNK_AMPS // 2**circuit.num_qubits)
-    for start in range(0, cfg.shots, chunk):
+    m = circuit.num_clbits
+    weights = 1 << np.arange(m, dtype=np.int64)
+    tally = np.zeros(2**m, dtype=np.int64)
+    rows = max(1, _CHUNK_AMPS // max(2**circuit.num_qubits, ncols))
+    for start in range(0, cfg.shots, rows):
         # Philox fills rows in order, so drawing per batch gives the same
         # numbers as one shots x columns draw.  Neither a batch's draws nor
         # its states buffer is held while the next batch runs.
-        stop = min(start + chunk, cfg.shots)
+        stop = min(start + rows, cfg.shots)
         creg, group = _evolve(circuit, layout, rng.random((stop - start, max(ncols, 1))))[1:]
-        codes[start:stop] = (creg @ weights)[group]
-    return Counts.from_codes(codes, circuit.num_clbits)
+        tally += np.bincount((creg @ weights)[group], minlength=2**m)
+    return Counts._from_tally(tally, m)
 
 
 def enumerate_branches(circuit: Circuit) -> list[Branch]:

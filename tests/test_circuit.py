@@ -30,6 +30,33 @@ def test_op_kinds_and_validation():
         CircuitOp(kind="gate", name="NOPE", targets=(0,))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "gate", "name": "X", "targets": (0.9,)},
+        {"kind": "gate", "name": "X", "targets": (True,)},
+        {"kind": "gate", "name": "CNOT", "targets": "01"},
+        {"kind": "cond", "name": "X", "targets": (np.bool_(False),), "clbit": 0},
+        {"kind": "cond", "name": "X", "targets": (0,), "clbit": 1.0},
+        {"kind": "measure", "qubit": 0.5, "clbit": 0},
+        {"kind": "measure", "qubit": "1", "clbit": 0},
+        {"kind": "measure", "qubit": 1, "clbit": True},
+    ],
+)
+def test_op_rejects_non_integer_wires(fields):
+    with pytest.raises(TypeError, match="expected an integer wire"):
+        CircuitOp(**fields)
+
+
+def test_op_stores_numpy_wires_as_plain_ints():
+    g = CircuitOp(kind="gate", name="CNOT", targets=(np.int64(1), np.int32(0)))
+    m = CircuitOp(kind="measure", qubit=np.uint8(2), clbit=np.int64(1))
+    assert g == CircuitOp(kind="gate", name="CNOT", targets=(1, 0))
+    assert [type(w) for w in (*g.targets, m.qubit, m.clbit)] == [int] * 4
+    with pytest.raises(TypeError, match="expected an integer wire"):
+        Circuit(2, 1).measure(0.5, 0)
+
+
 def test_op_json_schema_and_round_trip():
     g = CircuitOp(kind="gate", name="CNOT", targets=(1, 0))
     assert g.to_json() == {"kind": "gate", "name": "CNOT", "targets": [1, 0]}

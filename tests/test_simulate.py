@@ -1,10 +1,13 @@
 """Shot sampler, exact branch enumeration, and unitary extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qss import (
     Circuit,
+    Counts,
     NoiseModel,
     ProtocolConfig,
     RunConfig,
@@ -85,6 +88,94 @@ def test_counts_match_trajectory_oracle(noise, seed, monkeypatch):
     # a few shots per batch, so a heavy-noise batch outgrows its groups
     monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**7)
     assert simulate_shots(circuit, cfg, noise=model).counts == expected
+
+
+def record_batches(monkeypatch) -> list[int]:
+    """Patch _evolve to record the shot count of every sampled batch."""
+    sizes: list[int] = []
+    evolve = qss.simulate._evolve
+
+    def spy(circuit, layout, u):
+        sizes.append(len(u))
+        return evolve(circuit, layout, u)
+
+    monkeypatch.setattr(qss.simulate, "_evolve", spy)
+    return sizes
+
+
+def noisy_chain(num_qubits: int, length: int) -> Circuit:
+    """H on every qubit, `length` times over, then every qubit measured."""
+    c = Circuit(num_qubits, num_qubits)
+    for _ in range(length):
+        for q in range(num_qubits):
+            c.gate("H", q)
+    for q in range(num_qubits):
+        c.measure(q, q)
+    return c
+
+
+@pytest.mark.parametrize(
+    "circuit, noise, chunk, rows",
+    [
+        # 2 qubits, 3 noisy gates per qubit and 2 readout measurements:
+        # 16 draw columns against 4 amplitudes, so the draws set the batch.
+        (noisy_chain(2, 3), NoiseModel(0.2, 0.2, 0.1), 2**7, 2**7 // 16),
+        # no measurement and no noise: no draw columns, amplitudes only
+        (Circuit(3, 2).gate("H", 0).gate("CNOT", 0, 2), None, 2**6, 2**6 // 8),
+        # fewer amplitudes per batch than one shot's 16: one shot per batch
+        (noisy_chain(4, 1), shipped_noise_model(), 2**3, 1),
+    ],
+    ids=["draw-bound", "no-draws", "one-row"],
+)
+def test_batch_rule_keeps_counts(circuit, noise, chunk, rows, monkeypatch):
+    cfg = RunConfig(shots=45, seed=12)
+    expected = oracles.trajectory_counts(circuit, noise, shots=cfg.shots, seed=cfg.seed)
+    assert simulate_shots(circuit, cfg, noise=noise).counts == expected
+    sizes = record_batches(monkeypatch)
+    monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", chunk)
+    assert simulate_shots(circuit, cfg, noise=noise).counts == expected
+    full, rest = divmod(cfg.shots, rows)
+    assert sizes == [rows] * full + ([rest] if rest else [])
+
+
+def test_from_codes_matches_the_batch_tally(monkeypatch):
+    # the per-batch tally gives the same Counts as tallying every shot's code
+    circuit = random_feedforward_circuit(np.random.default_rng(5))
+    model = shipped_noise_model()
+    monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**7)
+    cfg = RunConfig(shots=500, seed=5)
+    expected = oracles.trajectory_counts(circuit, model, shots=cfg.shots, seed=cfg.seed)
+    codes = np.repeat([int(key, 2) for key in expected], list(expected.values()))
+    np.random.default_rng(0).shuffle(codes)
+    assert Counts.from_codes(codes, circuit.num_clbits) == simulate_shots(circuit, cfg, noise=model)
+
+
+def peak_traced_bytes(circuit, shots, noise) -> int:
+    """Peak bytes traced by tracemalloc while sampling, numpy buffers
+    included; gate tables are cached by a warm-up run first."""
+    simulate_shots(circuit, RunConfig(shots=4, seed=3), noise=noise)
+    tracemalloc.start()
+    try:
+        simulate_shots(circuit, RunConfig(shots=shots, seed=3), noise=noise)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_memory_does_not_grow_with_shots(monkeypatch):
+    monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**12)
+    c, noise = bell_circuit(), shipped_noise_model()
+    small = peak_traced_bytes(c, 2**13, noise)
+    assert peak_traced_bytes(c, 2**16, noise) <= 1.2 * small
+
+
+def test_long_noisy_circuit_memory_is_bounded_by_the_batch(monkeypatch):
+    # 102 draw columns per shot on one qubit: a batch sized by amplitudes
+    # alone would hold all 1024 shots' draws, 835 kB, at once.
+    monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**12)
+    c = noisy_chain(1, 50)
+    assert _draw_layout(c, shipped_noise_model())[1] == 102
+    assert peak_traced_bytes(c, 1024, shipped_noise_model()) < 4 * 2**12 * 16
 
 
 @pytest.mark.parametrize("size, count", [(1, 1), (1, 50), (2, 1), (7, 3), (40, 1000), (4096, 300)])
