@@ -73,12 +73,13 @@ class Circuit:
     """Ordered op list over a fixed qubit and clbit register."""
 
     def __init__(self, num_qubits: int, num_clbits: int = 0, ops: list[CircuitOp] | None = None):
+        num_qubits, num_clbits = _wire(num_qubits), _wire(num_clbits)
         if not 1 <= num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
         if num_clbits < 0:
             raise ValueError("num_clbits must be >= 0")
-        self.num_qubits = int(num_qubits)
-        self.num_clbits = int(num_clbits)
+        self.num_qubits = num_qubits
+        self.num_clbits = num_clbits
         self.ops: list[CircuitOp] = list(ops) if ops else []
 
     def gate(self, name: str, *targets: int) -> "Circuit":
@@ -90,7 +91,7 @@ class Circuit:
         return self
 
     def cond(self, name: str, targets: int | tuple[int, ...], clbit: int) -> "Circuit":
-        if isinstance(targets, int):
+        if not isinstance(targets, (tuple, list)):
             targets = (targets,)
         self.ops.append(CircuitOp(kind="cond", name=name, targets=tuple(targets), clbit=clbit))
         return self

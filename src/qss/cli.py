@@ -13,7 +13,6 @@ import os
 import sys
 
 from . import datasets
-from .circuit import Circuit
 from .fidelity import fidelity
 from .fileio import (
     SchemaError,
@@ -29,7 +28,10 @@ from .fileio import (
 )
 from .noise import CalibrationError, fit_depolarizing_detail
 from .protocol import (
+    MODES,
+    RECEIVERS,
     ProtocolConfig,
+    _with_receiver_measure,
     aggregate_receiver_counts,
     assemble_circuit,
     receiver_p0,
@@ -45,7 +47,7 @@ COUPLING_ENV = "QSS_DEFAULT_COUPLING"
 def _add_common(p: argparse.ArgumentParser, shots_default: int = 8192) -> None:
     p.add_argument("--seed", type=int, default=None, help="run seed (defaults to 0)")
     p.add_argument("--shots", type=int, default=shots_default)
-    p.add_argument("--receiver", choices=("charlie", "bob"), default="charlie")
+    p.add_argument("--receiver", choices=RECEIVERS, default="charlie")
     p.add_argument("--noise", metavar="FILE", help="noise model JSON")
     p.add_argument("--out", metavar="PATH", help="write primary output here")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -58,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the protocol and report receiver statistics")
     _add_common(p)
-    p.add_argument("--mode", choices=("sampled", "coherent", "exact"), default="sampled")
+    p.add_argument("--mode", choices=MODES, default="sampled")
 
     p = sub.add_parser("tomo", help="tomograph the receiver qubit")
     _add_common(p)
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-read", type=float, default=0.02, dest="p_read")
     p.add_argument("--shots", type=int, default=20000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--receiver", choices=("charlie", "bob"), default="charlie")
+    p.add_argument("--receiver", choices=RECEIVERS, default="charlie")
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--strict", action="store_true")
 
@@ -148,11 +150,10 @@ def cmd_tomo(args: argparse.Namespace) -> int:
     reference = None
     if args.reference:
         reference = parse_density_matrix(read_json(args.reference))
-    base_cfg = ProtocolConfig(receiver=args.receiver, mode=args.mode, shots=max(args.shots, 1), seed=seed)
-    base = assemble_circuit(base_cfg)
+    cfg = ProtocolConfig(receiver=args.receiver, mode=args.mode)
     job = TomographyJob(
-        base_circuit=base,
-        target_qubit=base_cfg.receiver_wire,
+        base_circuit=assemble_circuit(cfg),
+        target_qubit=cfg.receiver_wire,
         shots_per_basis=args.shots,
         seed=seed,
     )
@@ -241,10 +242,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     target = args.target
     if target is None:
         target = float(datasets.load_reference_runs()["receiver_p0_hardware"]["8192"])
-    cfg = ProtocolConfig(receiver=args.receiver, mode="coherent")
-    base = assemble_circuit(cfg)
-    circuit = Circuit(base.num_qubits, 1, list(base.ops))
-    circuit.measure(cfg.receiver_wire, 0)
+    circuit = _with_receiver_measure(ProtocolConfig(receiver=args.receiver, mode="coherent"))
     detail = fit_depolarizing_detail(target, circuit, p_read=args.p_read, shots=args.shots, seed=seed)
     payload = detail.to_json()
     text = dump_json(payload)
@@ -274,13 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (IOError, CalibrationError) as exc:
+    except (SimulationError, OSError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

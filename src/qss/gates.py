@@ -14,7 +14,6 @@ import numpy as np
 
 ATOL_STRUCTURAL = 1e-12
 ATOL_EVOLUTION = 1e-10
-ATOL_SPECTRAL = 1e-8
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -66,8 +65,6 @@ PAULIS: tuple[np.ndarray, ...] = (
     GATES["Y"].matrix,
     GATES["Z"].matrix,
 )
-
-PAULI_NAMES = ("ID", "X", "Y", "Z")
 
 
 def gate(name: str) -> GateMatrix:

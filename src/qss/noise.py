@@ -67,15 +67,13 @@ class FitResult:
         return out
 
 
-def _receiver_clbit(circuit: Circuit, clbit: int | None) -> int:
-    if clbit is None:
-        for op in reversed(circuit.ops):
-            if op.kind == "measure":
-                return op.clbit
-        raise ValueError("circuit has no measurement to calibrate against")
-    if not 0 <= clbit < circuit.num_clbits:
-        raise ValueError(f"clbit {clbit} out of range")
-    return clbit
+# The fit bisects the depolarizing strength over [_P_LO, _P_HI] and stops
+# once the estimated P(0) is within _TOL of the target, or after _MAX_ITER
+# steps.
+_P_LO = 0.0
+_P_HI = 0.2
+_TOL = 0.005
+_MAX_ITER = 20
 
 
 def fit_depolarizing_detail(
@@ -84,32 +82,28 @@ def fit_depolarizing_detail(
     p_read: float = 0.02,
     shots: int = 20000,
     seed: int = 0,
-    clbit: int | None = None,
-    lo: float = 0.0,
-    hi: float = 0.2,
-    tol: float = 0.005,
-    max_iter: int = 20,
 ) -> FitResult:
-    """Bisect the depolarizing strength until P(clbit = 0) matches a target.
+    """Bisect the depolarizing strength until the receiver's P(0) matches a
+    target; the receiver bit is the clbit of the circuit's last measurement.
 
-    clbit defaults to the circuit's last measurement.  Every evaluation
-    reuses the same seed, so the estimated P(0) is a deterministic and (up
-    to sampling ties) monotone function of p and the whole fit reproduces
-    exactly.  Raises CalibrationError, a ValueError, when the target is
-    above the noiseless value or below what the strongest allowed noise
-    produces.
+    Every evaluation reuses the same seed, so the estimated P(0) is a
+    deterministic and (up to sampling ties) monotone function of p and the
+    whole fit reproduces exactly.  Raises CalibrationError, a ValueError,
+    when the target is above the noiseless value or below what the
+    strongest allowed noise produces.
     """
     if shots < 20000:
         raise ValueError("calibration needs at least 20000 shots per evaluation")
-    if not 0.0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
     circuit.validate()
-    bit = _receiver_clbit(circuit, clbit)
+    measured = [op.clbit for op in circuit.ops if op.kind == "measure"]
+    if not measured:
+        raise ValueError("circuit has no measurement to calibrate against")
+    bit = measured[-1]
 
     noiseless = exact_distribution(circuit)
     pos = circuit.num_clbits - 1 - bit
     p0_ceiling = sum(p for key, p in noiseless.items() if key[pos] == "0")
-    if target_p0 > p0_ceiling + tol:
+    if target_p0 > p0_ceiling + _TOL:
         raise CalibrationError(f"target {target_p0} exceeds the noiseless value {p0_ceiling:.6f}")
 
     def evaluate(p: float) -> float:
@@ -117,19 +111,19 @@ def fit_depolarizing_detail(
         counts = simulate_shots(circuit, RunConfig(shots=shots, seed=seed), noise=model)
         return counts.marginal(bit).p0()
 
-    floor = evaluate(hi)
-    if target_p0 < floor - tol:
-        raise CalibrationError(f"target {target_p0} is below {floor:.4f}, the value at p = {hi}")
+    floor = evaluate(_P_HI)
+    if target_p0 < floor - _TOL:
+        raise CalibrationError(f"target {target_p0} is below {floor:.4f}, the value at p = {_P_HI}")
 
-    a, b = lo, hi
-    mid, achieved = hi, floor
+    a, b = _P_LO, _P_HI
+    mid, achieved = _P_HI, floor
     iterations = 0
-    converged = abs(floor - target_p0) <= tol
-    while iterations < max_iter and not converged:
+    converged = abs(floor - target_p0) <= _TOL
+    while iterations < _MAX_ITER and not converged:
         mid = (a + b) / 2.0
         achieved = evaluate(mid)
         iterations += 1
-        if abs(achieved - target_p0) <= tol:
+        if abs(achieved - target_p0) <= _TOL:
             converged = True
         elif achieved > target_p0:
             a = mid

@@ -158,71 +158,67 @@ def x_basis_measurement_fragment(qubit: int) -> list[CircuitOp]:
     ]
 
 
+# The receiver's corrections in the order they apply: each Pauli fires when
+# its clbit reads 1.  Deferred, it becomes the controlled form of the Pauli.
+_CORRECTIONS = (("X", CLBIT_BELL_GHZ), ("Z", CLBIT_BELL_SECRET), ("Z", CLBIT_X))
+_CONTROLLED = {"X": "CNOT", "Z": "CZ"}
+
+
 def correction_for(m_bell_secret: int, m_bell_ghz: int, m_x: int) -> list[str]:
     """Receiver correction chain for one outcome triple: X, then Z, then Z."""
-    for bit in (m_bell_secret, m_bell_ghz, m_x):
+    bits = (m_bell_secret, m_bell_ghz, m_x)  # indexed by clbit
+    for bit in bits:
         if bit not in (0, 1):
             raise ValueError("outcome bits must be 0 or 1")
-    ops = []
-    if m_bell_ghz:
-        ops.append("X")
-    if m_bell_secret:
-        ops.append("Z")
-    if m_x:
-        ops.append("Z")
-    return ops
-
-
-def _prep_ops(secret: SecretSpec) -> list[CircuitOp]:
-    return [CircuitOp(kind="gate", name=name, targets=(WIRE_SECRET,)) for name in secret.preparation]
-
-
-def _shared_prefix(secret: SecretSpec) -> list[CircuitOp]:
-    ops = _prep_ops(secret)
-    ops += build_ghz_fragment(WIRE_DEALER_GHZ, WIRE_BOB, WIRE_CHARLIE)
-    ops += [
-        CircuitOp(kind="gate", name="CNOT", targets=(WIRE_SECRET, WIRE_DEALER_GHZ)),
-        CircuitOp(kind="gate", name="H", targets=(WIRE_SECRET,)),
-    ]
-    return ops
+    return [name for name, clbit in _CORRECTIONS if bits[clbit]]
 
 
 def assemble_circuit(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> Circuit:
     """Build the protocol circuit for the configured mode and receiver.
 
-    Sampled (and exact) mode: Bell measurement, X-basis measurement, and
-    classically conditioned corrections on the receiver; the receiver qubit
-    itself is left unmeasured.  Coherent mode: the same corrections as
-    quantum-controlled gates, no measurements at all.
+    Sampled (and exact) mode: secret preparation, GHZ sharing, the dealer's
+    Bell measurement, the partner's X-basis measurement, then classically
+    conditioned corrections on the receiver; the receiver qubit itself is
+    left unmeasured.  Coherent mode is that circuit with its measurements
+    deferred: every measure is dropped and every cond becomes the
+    controlled gate (X -> CNOT, Z -> CZ) from the wire that was measured
+    into its clbit.  This is the deferred-measurement principle, and it
+    holds here because no wire is used after its measurement: a control
+    leaves its wire's Z-basis populations alone, so the receiver's reduced
+    state is the same as if the wire had been measured.
     """
-    rx = cfg.receiver_wire
-    partner = cfg.partner_wire
-    if cfg.mode == "coherent":
-        c = Circuit(4, 0)
-        c.extend(_shared_prefix(secret))
-        c.gate("H", partner)
-        c.gate("CNOT", WIRE_DEALER_GHZ, rx)
-        c.gate("CZ", WIRE_SECRET, rx)
-        c.gate("CZ", partner, rx)
+    c = Circuit(4, 3)
+    for name in secret.preparation:
+        c.gate(name, WIRE_SECRET)
+    c.extend(build_ghz_fragment(WIRE_DEALER_GHZ, WIRE_BOB, WIRE_CHARLIE))
+    c.extend(build_bell_measurement_fragment(WIRE_SECRET, WIRE_DEALER_GHZ))
+    c.extend(x_basis_measurement_fragment(cfg.partner_wire))
+    for name, clbit in _CORRECTIONS:
+        c.cond(name, cfg.receiver_wire, clbit)
+    c.validate()
+    if cfg.mode != "coherent":
         return c
 
-    c = Circuit(4, 3)
-    c.extend(_prep_ops(secret))
-    c.extend(build_ghz_fragment(WIRE_DEALER_GHZ, WIRE_BOB, WIRE_CHARLIE))
-    ops = build_bell_measurement_fragment(WIRE_SECRET, WIRE_DEALER_GHZ)
-    c.extend(ops)
-    c.extend(x_basis_measurement_fragment(partner))
-    c.cond("X", rx, CLBIT_BELL_GHZ)
-    c.cond("Z", rx, CLBIT_BELL_SECRET)
-    c.cond("Z", rx, CLBIT_X)
-    c.validate()
-    return c
+    measured_wire: dict[int, int] = {}
+    ops = []
+    for op in c.ops:
+        if op.kind == "measure":
+            measured_wire[op.clbit] = op.qubit
+        elif op.kind == "cond":
+            control = measured_wire[op.clbit]
+            ops.append(CircuitOp(kind="gate", name=_CONTROLLED[op.name], targets=(control, *op.targets)))
+        else:
+            ops.append(op)
+    return Circuit(c.num_qubits, 0, ops)
 
 
-def _with_receiver_measure(cfg: ProtocolConfig, secret: SecretSpec) -> Circuit:
+def _with_receiver_measure(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> Circuit:
+    """The protocol circuit plus a Z readout of the receiver into the next
+    free clbit: clbit 3 after the sampled circuit, clbit 0 after the
+    coherent one (the calibration circuit)."""
     base = assemble_circuit(cfg, secret)
-    out = Circuit(base.num_qubits, 4, list(base.ops))
-    out.measure(cfg.receiver_wire, CLBIT_RECEIVER)
+    out = Circuit(base.num_qubits, base.num_clbits + 1, base.ops)
+    out.measure(cfg.receiver_wire, base.num_clbits)
     out.validate()
     return out
 
@@ -325,7 +321,11 @@ def receiver_p0(transcripts: list[ProtocolTranscript]) -> float:
 
 def pre_correction_reduced_dm(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> DensityMatrix:
     """Receiver's reduced state after sharing and Bell rotation, before any
-    correction; I/2 here is what keeps either partner alone in the dark."""
-    circuit = Circuit(4, 0, _shared_prefix(secret))
-    (branch,) = enumerate_branches(circuit)
+    correction; I/2 here is what keeps either partner alone in the dark.
+
+    Evolves the ops of the sampled circuit that come before its first
+    measurement."""
+    ops = assemble_circuit(ProtocolConfig(receiver=cfg.receiver), secret).ops
+    first = next(i for i, op in enumerate(ops) if op.kind == "measure")
+    (branch,) = enumerate_branches(Circuit(4, 0, ops[:first]))
     return partial_trace(StateVector(branch.state), (cfg.receiver_wire,))

@@ -41,11 +41,15 @@ def test_op_kinds_and_validation():
         {"kind": "measure", "qubit": 0.5, "clbit": 0},
         {"kind": "measure", "qubit": "1", "clbit": 0},
         {"kind": "measure", "qubit": 1, "clbit": True},
+        {"num_qubits": 2.7, "num_clbits": 1},
+        {"num_qubits": 2, "num_clbits": 1.2},
+        {"num_qubits": True, "num_clbits": 0},
     ],
 )
 def test_op_rejects_non_integer_wires(fields):
+    make = CircuitOp if "kind" in fields else Circuit
     with pytest.raises(TypeError, match="expected an integer wire"):
-        CircuitOp(**fields)
+        make(**fields)
 
 
 def test_op_stores_numpy_wires_as_plain_ints():
@@ -55,6 +59,9 @@ def test_op_stores_numpy_wires_as_plain_ints():
     assert [type(w) for w in (*g.targets, m.qubit, m.clbit)] == [int] * 4
     with pytest.raises(TypeError, match="expected an integer wire"):
         Circuit(2, 1).measure(0.5, 0)
+    c = Circuit(np.int64(2), np.int64(1)).measure(0, 0).cond("X", np.int64(1), 0)
+    assert c == Circuit(2, 1).measure(0, 0).cond("X", 1, 0)
+    assert [type(v) for v in (c.num_qubits, c.num_clbits, *c.ops[-1].targets)] == [int] * 3
 
 
 def test_op_json_schema_and_round_trip():

@@ -139,10 +139,11 @@ def test_fit_enforces_minimum_shots():
 
 
 def test_fit_validates_bracket_and_clbit():
-    with pytest.raises(ValueError, match="lo < hi"):
-        fit_depolarizing_detail(0.800, calibration_circuit(), seed=0, lo=0.2, hi=0.1)
-    with pytest.raises(ValueError, match="out of range"):
-        fit_depolarizing_detail(0.800, calibration_circuit(), seed=0, clbit=5)
+    # the receiver bit is the last measurement's clbit: here clbit 0, which
+    # always reads 1, not clbit 1, which always reads 0
+    last_reads_one = Circuit(2, 2).measure(0, 1).gate("X", 1).measure(1, 0)
+    with pytest.raises(CalibrationError, match="noiseless value 0.000000"):
+        fit_depolarizing_detail(0.800, last_reads_one, seed=0)
     no_measure = Circuit(1, 1).gate("H", 0)
     with pytest.raises(ValueError, match="no measurement"):
         fit_depolarizing_detail(0.800, no_measure, seed=0)

@@ -5,6 +5,7 @@ import pytest
 
 from qss import (
     Circuit,
+    CircuitOp,
     ProtocolConfig,
     SecretSpec,
     StateVector,
@@ -19,9 +20,11 @@ from qss import (
     run_protocol,
     x_basis_measurement_fragment,
 )
+from qss import protocol
+from qss.protocol import RECEIVERS, _with_receiver_measure
 
 import oracles
-from conftest import ALPHA, BETA, P0_SECRET, RHO_SECRET
+from conftest import ALPHA, BETA, P0_SECRET, RHO_SECRET, calibration_circuit
 
 # Correction table, frozen from the teleportation algebra: the Bell bit
 # of the dealer's GHZ share keys X, the secret's Bell bit and the
@@ -36,6 +39,23 @@ CORRECTION_TABLE = {
     (1, 1, 0): ["X", "Z"],
     (1, 1, 1): ["X", "Z", "Z"],
 }
+
+# The coherent circuit after the secret preparation, written out: GHZ
+# sharing, the dealer's Bell rotation, the partner's X-basis rotation, then
+# the corrections X, Z, Z as CNOT and CZ from the wires measured into their
+# clbits (dealer's GHZ share, secret, partner).
+COHERENT_AFTER_PREP = {
+    "charlie": [
+        ("H", (2,)), ("CNOT", (2, 1)), ("CNOT", (2, 0)), ("CNOT", (3, 2)), ("H", (3,)),
+        ("H", (1,)), ("CNOT", (2, 0)), ("CZ", (3, 0)), ("CZ", (1, 0)),
+    ],
+    "bob": [
+        ("H", (2,)), ("CNOT", (2, 1)), ("CNOT", (2, 0)), ("CNOT", (3, 2)), ("H", (3,)),
+        ("H", (0,)), ("CNOT", (2, 1)), ("CZ", (3, 1)), ("CZ", (0, 1)),
+    ],
+}
+
+ONE_QUBIT_GATES = ("ID", "X", "Y", "Z", "H", "S", "SDG", "T")
 
 
 def test_secret_spec_default_state():
@@ -274,3 +294,57 @@ def test_custom_secret_round_trips():
         assert abs(t.receiver_state.inner(target)) == pytest.approx(1.0, abs=1e-10)
     (t,) = run_protocol(ProtocolConfig(mode="coherent"), secret)
     np.testing.assert_allclose(t.receiver_reduced_dm.matrix, np.full((2, 2), 0.5), atol=1e-10)
+
+
+@pytest.mark.parametrize("receiver", RECEIVERS)
+@pytest.mark.parametrize("preparation", [("H", "T", "H"), ("H",), (), ("X", "S", "H", "T")])
+def test_coherent_op_list(receiver, preparation):
+    c = assemble_circuit(ProtocolConfig(receiver=receiver, mode="coherent"), SecretSpec(preparation))
+    assert (c.num_qubits, c.num_clbits) == (4, 0)
+    assert all(op.kind == "gate" for op in c.ops)
+    expected = [(name, (3,)) for name in preparation] + COHERENT_AFTER_PREP[receiver]
+    assert [(op.name, op.targets) for op in c.ops] == expected
+
+
+def test_coherent_state_matches_exact_branches_for_random_secrets():
+    """Deferring the measurements keeps the receiver's state: for random
+    secrets the coherent reduced state equals the probability-weighted
+    exact branch states, and both equal the secret."""
+    rng = np.random.default_rng(20181)
+    for _ in range(24):
+        preparation = tuple(str(g) for g in rng.choice(ONE_QUBIT_GATES, size=int(rng.integers(1, 7))))
+        secret = SecretSpec(preparation)
+        for receiver in RECEIVERS:
+            (t,) = run_protocol(ProtocolConfig(receiver=receiver, mode="coherent"), secret)
+            mixed = np.zeros((2, 2), dtype=complex)
+            for b in run_protocol(ProtocolConfig(receiver=receiver, mode="exact"), secret):
+                a = b.receiver_state.amplitudes
+                mixed += b.probability * np.outer(a, a.conj())
+            np.testing.assert_allclose(t.receiver_reduced_dm.matrix, mixed, atol=1e-12, err_msg=str(preparation))
+            np.testing.assert_allclose(mixed, secret.density().matrix, atol=1e-12, err_msg=str(preparation))
+            rho = pre_correction_reduced_dm(ProtocolConfig(receiver=receiver), secret)
+            np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12, err_msg=str(preparation))
+
+
+def test_pre_correction_evolves_the_sampled_ops_before_the_first_measurement(monkeypatch):
+    evolved = []
+    monkeypatch.setattr(protocol, "enumerate_branches", lambda c: evolved.append(c) or enumerate_branches(c))
+    for receiver in RECEIVERS:
+        pre_correction_reduced_dm(ProtocolConfig(receiver=receiver, mode="coherent"), SecretSpec(("X", "S")))
+    prefix = [
+        ("X", (3,)), ("S", (3,)),
+        ("H", (2,)), ("CNOT", (2, 1)), ("CNOT", (2, 0)), ("CNOT", (3, 2)), ("H", (3,)),
+    ]
+    assert [[(op.name, op.targets) for op in c.ops] for c in evolved] == [prefix, prefix]
+    assert all(op.kind == "gate" for c in evolved for op in c.ops)
+
+
+def test_receiver_readout_goes_to_the_next_free_clbit():
+    for receiver in RECEIVERS:
+        coherent = ProtocolConfig(receiver=receiver, mode="coherent")
+        assert _with_receiver_measure(coherent) == calibration_circuit(receiver)
+        sampled = ProtocolConfig(receiver=receiver)
+        c = _with_receiver_measure(sampled)
+        assert c.num_clbits == 4
+        assert c.ops[:-1] == assemble_circuit(sampled).ops
+        assert c.ops[-1] == CircuitOp(kind="measure", qubit=sampled.receiver_wire, clbit=3)
