@@ -9,6 +9,7 @@ keys render clbit 0 rightmost.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,15 @@ class CircuitOp:
 
 
 class Circuit:
-    """Ordered op list over a fixed qubit and clbit register."""
+    """Ordered op list over a fixed qubit and clbit register.
 
-    def __init__(self, num_qubits: int, num_clbits: int = 0, ops: list[CircuitOp] | None = None):
+    Each op is checked as it is added (wire ranges, one measurement per
+    clbit, a measurement before any cond that reads it), so a Circuit is
+    valid for its whole life.  `ops` is a read-only tuple; the builders
+    append in place and return the circuit.
+    """
+
+    def __init__(self, num_qubits: int, num_clbits: int = 0, ops: Iterable[CircuitOp] | None = None):
         num_qubits, num_clbits = _wire(num_qubits), _wire(num_clbits)
         if not 1 <= num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
@@ -80,28 +87,38 @@ class Circuit:
             raise ValueError("num_clbits must be >= 0")
         self.num_qubits = num_qubits
         self.num_clbits = num_clbits
-        self.ops: list[CircuitOp] = list(ops) if ops else []
+        self._ops: tuple[CircuitOp, ...] = ()
+        self._written: frozenset[int] = frozenset()
+        self.extend(ops or ())
+
+    @property
+    def ops(self) -> tuple[CircuitOp, ...]:
+        return self._ops
 
     def gate(self, name: str, *targets: int) -> "Circuit":
-        self.ops.append(CircuitOp(kind="gate", name=name, targets=tuple(targets)))
-        return self
+        return self.extend((CircuitOp(kind="gate", name=name, targets=tuple(targets)),))
 
     def measure(self, qubit: int, clbit: int) -> "Circuit":
-        self.ops.append(CircuitOp(kind="measure", qubit=qubit, clbit=clbit))
-        return self
+        return self.extend((CircuitOp(kind="measure", qubit=qubit, clbit=clbit),))
 
     def cond(self, name: str, targets: int | tuple[int, ...], clbit: int) -> "Circuit":
         if not isinstance(targets, (tuple, list)):
             targets = (targets,)
-        self.ops.append(CircuitOp(kind="cond", name=name, targets=tuple(targets), clbit=clbit))
-        return self
+        return self.extend((CircuitOp(kind="cond", name=name, targets=tuple(targets), clbit=clbit),))
 
-    def extend(self, ops: list[CircuitOp]) -> "Circuit":
-        self.ops.extend(ops)
+    def extend(self, ops: Iterable[CircuitOp]) -> "Circuit":
+        """Append ops in order; when one breaks a rule, none is added."""
+        ops = tuple(ops)
+        written = self._written
+        for i, op in enumerate(ops, len(self._ops)):
+            error = self._broken_rule(op, written)
+            if error:
+                raise ValueError(f"op {i} ({op.kind}): {error}")
+            if op.kind == "measure":
+                written |= {op.clbit}
+        self._ops += ops
+        self._written = written
         return self
-
-    def copy(self) -> "Circuit":
-        return Circuit(self.num_qubits, self.num_clbits, list(self.ops))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):
@@ -116,30 +133,28 @@ class Circuit:
         return f"Circuit(qubits={self.num_qubits}, clbits={self.num_clbits}, ops={len(self.ops)})"
 
     def validate(self) -> None:
-        """Check wire ranges and the measure-before-read discipline.
+        """Re-run the checks that every op passed when it was added."""
+        Circuit(self.num_qubits, self.num_clbits, self._ops)
 
-        Each clbit may be written by at most one measurement, and a cond op
-        may only read a clbit that was measured earlier in the program.
-        """
-        written: set[int] = set()
-        for i, op in enumerate(self.ops):
-            where = f"op {i} ({op.kind})"
-            for q in op.targets:
-                if not 0 <= q < self.num_qubits:
-                    raise ValueError(f"{where}: qubit {q} out of range")
-            if op.kind == "measure":
-                if not 0 <= op.qubit < self.num_qubits:
-                    raise ValueError(f"{where}: qubit {op.qubit} out of range")
-                if not 0 <= op.clbit < self.num_clbits:
-                    raise ValueError(f"{where}: clbit {op.clbit} out of range")
-                if op.clbit in written:
-                    raise ValueError(f"{where}: clbit {op.clbit} written twice")
-                written.add(op.clbit)
-            elif op.kind == "cond":
-                if not 0 <= op.clbit < self.num_clbits:
-                    raise ValueError(f"{where}: clbit {op.clbit} out of range")
-                if op.clbit not in written:
-                    raise ValueError(f"{where}: clbit {op.clbit} read before being measured")
+    def _broken_rule(self, op: CircuitOp, written: frozenset[int]) -> str | None:
+        """Why op cannot follow measurements into the clbits `written`, or
+        None when it can."""
+        for q in op.targets:
+            if not 0 <= q < self.num_qubits:
+                return f"qubit {q} out of range"
+        if op.kind == "measure":
+            if not 0 <= op.qubit < self.num_qubits:
+                return f"qubit {op.qubit} out of range"
+            if not 0 <= op.clbit < self.num_clbits:
+                return f"clbit {op.clbit} out of range"
+            if op.clbit in written:
+                return f"clbit {op.clbit} written twice"
+        elif op.kind == "cond":
+            if not 0 <= op.clbit < self.num_clbits:
+                return f"clbit {op.clbit} out of range"
+            if op.clbit not in written:
+                return f"clbit {op.clbit} read before being measured"
+        return None
 
     def to_json(self) -> dict:
         return {

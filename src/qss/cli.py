@@ -44,9 +44,9 @@ from .tomography import BASES, TomographyJob, run_tomography
 COUPLING_ENV = "QSS_DEFAULT_COUPLING"
 
 
-def _add_common(p: argparse.ArgumentParser, shots_default: int = 8192) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="run seed (defaults to 0)")
-    p.add_argument("--shots", type=int, default=shots_default)
+    p.add_argument("--shots", type=int, default=8192)
     p.add_argument("--receiver", choices=RECEIVERS, default="charlie")
     p.add_argument("--noise", metavar="FILE", help="noise model JSON")
     p.add_argument("--out", metavar="PATH", help="write primary output here")

@@ -33,34 +33,34 @@ def purity(rho: DensityMatrix | np.ndarray) -> float:
     return float(np.trace(m @ m).real)
 
 
-def _clipped_eigh(m: np.ndarray, eig_floor: float) -> tuple[np.ndarray, np.ndarray]:
+def _clipped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(m)
-    if vals.min() < -eig_floor:
+    if vals.min() < -EIG_FLOOR:
         raise ValueError(
-            f"eigenvalue {vals.min():.3e} below -{eig_floor:.0e}; matrix is not positive semidefinite"
+            f"eigenvalue {vals.min():.3e} below -{EIG_FLOOR:.0e}; matrix is not positive semidefinite"
         )
     return np.clip(vals, 0.0, None), vecs
 
-def psd_sqrt(rho: DensityMatrix | np.ndarray, eig_floor: float = EIG_FLOOR) -> np.ndarray:
+def psd_sqrt(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-eig_floor, 0) are clipped to zero before the root;
-    eigenvalues below -eig_floor raise ValueError.
+    Eigenvalues in [-EIG_FLOOR, 0) are clipped to zero before the root;
+    eigenvalues below -EIG_FLOOR raise ValueError.
     """
-    vals, vecs = _clipped_eigh(_as_matrix(rho), eig_floor)
+    vals, vecs = _clipped_eigh(_as_matrix(rho))
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def fidelity(rho_t: DensityMatrix | np.ndarray, rho_e: DensityMatrix | np.ndarray, eig_floor: float = EIG_FLOOR) -> float:
+def fidelity(rho_t: DensityMatrix | np.ndarray, rho_e: DensityMatrix | np.ndarray) -> float:
     """Uhlmann fidelity between two density matrices, clipped into [0, 1]."""
     a = _as_matrix(rho_t)
     b = _as_matrix(rho_e)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    ra = psd_sqrt(a, eig_floor)
+    ra = psd_sqrt(a)
     inner = ra @ b @ ra
     # inner is PSD up to roundoff; reuse the clipped root for its trace.
-    vals, _ = _clipped_eigh((inner + inner.conj().T) / 2.0, eig_floor)
+    vals, _ = _clipped_eigh((inner + inner.conj().T) / 2.0)
     f = float(np.sqrt(vals).sum())
     return float(np.clip(f, 0.0, 1.0))
 

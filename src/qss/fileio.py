@@ -143,12 +143,11 @@ def parse_circuit(obj: object, path: str = "$") -> Circuit:
         circuit = Circuit(qubits, clbits)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
-    circuit.ops = [_parse_op(op, f"{path}.ops[{i}]") for i, op in enumerate(ops)]
+    parsed = [_parse_op(op, f"{path}.ops[{i}]") for i, op in enumerate(ops)]
     try:
-        circuit.validate()
+        return circuit.extend(parsed)
     except ValueError as exc:
         raise SchemaError(f"{path}.ops", str(exc)) from exc
-    return circuit
 
 
 def parse_coupling(obj: object, path: str = "$") -> CouplingGraph:

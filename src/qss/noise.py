@@ -94,7 +94,6 @@ def fit_depolarizing_detail(
     """
     if shots < 20000:
         raise ValueError("calibration needs at least 20000 shots per evaluation")
-    circuit.validate()
     measured = [op.clbit for op in circuit.ops if op.kind == "measure"]
     if not measured:
         raise ValueError("circuit has no measurement to calibrate against")

@@ -195,7 +195,6 @@ def assemble_circuit(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> 
     c.extend(x_basis_measurement_fragment(cfg.partner_wire))
     for name, clbit in _CORRECTIONS:
         c.cond(name, cfg.receiver_wire, clbit)
-    c.validate()
     if cfg.mode != "coherent":
         return c
 
@@ -217,10 +216,7 @@ def _with_receiver_measure(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec(
     free clbit: clbit 3 after the sampled circuit, clbit 0 after the
     coherent one (the calibration circuit)."""
     base = assemble_circuit(cfg, secret)
-    out = Circuit(base.num_qubits, base.num_clbits + 1, base.ops)
-    out.measure(cfg.receiver_wire, base.num_clbits)
-    out.validate()
-    return out
+    return Circuit(base.num_qubits, base.num_clbits + 1, base.ops).measure(cfg.receiver_wire, base.num_clbits)
 
 
 def run_protocol(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> list[ProtocolTranscript]:

@@ -10,11 +10,11 @@ lexicographically smallest path, so routing is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import Circuit, CircuitOp
+from .circuit import Circuit, CircuitOp, _wire
 from .simulate import matrices_equal_up_to_phase, unitary_of
 
 
@@ -26,12 +26,13 @@ class CouplingGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_physical", _wire(self.num_physical))
         if self.num_physical < 1:
             raise ValueError("num_physical must be >= 1")
         seen: set[tuple[int, int]] = set()
         norm = []
         for c, t in self.edges:
-            c, t = int(c), int(t)
+            c, t = _wire(c), _wire(t)
             if not (0 <= c < self.num_physical and 0 <= t < self.num_physical) or c == t:
                 raise ValueError(f"bad edge ({c}, {t})")
             if (c, t) in seen:
@@ -93,6 +94,8 @@ class QubitMapping:
     """Injective placement of logical wires onto physical wires."""
 
     def __init__(self, l2p: dict[int, int], num_physical: int):
+        num_physical = _wire(num_physical)
+        l2p = {_wire(q): _wire(p) for q, p in l2p.items()}
         if len(set(l2p.values())) != len(l2p):
             raise ValueError("mapping is not injective")
         for q, p in l2p.items():
@@ -101,7 +104,7 @@ class QubitMapping:
             if q < 0:
                 raise ValueError(f"bad logical qubit {q}")
         self.num_physical = num_physical
-        self.l2p = dict(l2p)
+        self.l2p = l2p
         self.p2l = {p: q for q, p in l2p.items()}
 
     @classmethod
@@ -158,23 +161,14 @@ class TranspileReport:
         }
 
 
-def _cond_aware(kind: str, name: str, targets: tuple[int, ...], clbit: int | None) -> CircuitOp:
-    if kind == "cond":
-        return CircuitOp(kind="cond", name=name, targets=targets, clbit=clbit)
-    return CircuitOp(kind="gate", name=name, targets=targets)
-
-
-def _reversed_cnot(control: int, target: int, kind: str = "gate", clbit: int | None = None) -> list[CircuitOp]:
+def _reversed_cnot(control: int, target: int, like: CircuitOp | None = None) -> list[CircuitOp]:
     """CNOT(control -> target) through the opposite orientation: H(control),
     H(target), CNOT(target -> control), H(control), H(target); unitary-equal
-    to the requested CNOT."""
-    return [
-        _cond_aware(kind, "H", (control,), clbit),
-        _cond_aware(kind, "H", (target,), clbit),
-        _cond_aware(kind, "CNOT", (target, control), clbit),
-        _cond_aware(kind, "H", (control,), clbit),
-        _cond_aware(kind, "H", (target,), clbit),
-    ]
+    to the requested CNOT.  Each op takes its kind and clbit from `like`,
+    and is a plain gate when `like` is omitted."""
+    kind, clbit = (like.kind, like.clbit) if like else ("gate", None)
+    steps = (("H", (control,)), ("H", (target,)), ("CNOT", (target, control)), ("H", (control,)), ("H", (target,)))
+    return [CircuitOp(kind=kind, name=name, targets=targets, clbit=clbit) for name, targets in steps]
 
 
 def decompose_swap(a: int, b: int, graph: CouplingGraph) -> list[CircuitOp]:
@@ -227,7 +221,6 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
     shortest undirected path; the report's final layout says where each
     logical wire ended up.
     """
-    circuit.validate()
     _require_terminal_measures(circuit)
     if circuit.num_qubits > graph.num_physical:
         raise ValueError(f"circuit needs {circuit.num_qubits} qubits, device has {graph.num_physical}")
@@ -239,19 +232,15 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
             if q not in mapping.l2p:
                 raise ValueError(f"initial mapping does not place logical qubit {q}")
 
-    out = Circuit(graph.num_physical, circuit.num_clbits)
-    report = TranspileReport(
-        circuit=out,
-        initial_layout=dict(mapping.l2p),
-        final_layout={},
-    )
-
+    initial_layout = dict(mapping.l2p)
+    emitted: list[CircuitOp] = []
+    swaps = reversals = 0
     for op in circuit.ops:
         if op.kind == "measure":
-            out.measure(mapping.physical(op.qubit), op.clbit)
+            emitted.append(replace(op, qubit=mapping.physical(op.qubit)))
             continue
         if len(op.targets) == 1:
-            out.ops.append(_cond_aware(op.kind, op.name, (mapping.physical(op.targets[0]),), op.clbit))
+            emitted.append(replace(op, targets=(mapping.physical(op.targets[0]),)))
             continue
 
         pc, pt = (mapping.physical(q) for q in op.targets)
@@ -262,32 +251,36 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
             path = min(paths, key=lambda p: (_path_cost(graph, p, op.name), p))
             for i in range(len(path) - 2):
                 u, v = _oriented(graph, path[i], path[i + 1])
-                out.ops.extend(decompose_swap(u, v, graph))
+                emitted += decompose_swap(u, v, graph)
                 mapping.swap_physical(u, v)
-                report.swaps += 1
-                report.reversals += _swap_flip_count(graph, u, v)
+                swaps += 1
+                reversals += _swap_flip_count(graph, u, v)
             pc, pt = (mapping.physical(q) for q in op.targets)
 
         if op.name == "CNOT":
             if graph.allows(pc, pt):
-                out.ops.append(_cond_aware(op.kind, "CNOT", (pc, pt), op.clbit))
+                emitted.append(replace(op, targets=(pc, pt)))
             else:
-                out.ops.extend(_reversed_cnot(pc, pt, kind=op.kind, clbit=op.clbit))
-                report.reversals += 1
+                emitted += _reversed_cnot(pc, pt, op)
+                reversals += 1
         elif op.name == "CZ":
             c, t = (pc, pt) if graph.allows(pc, pt) else (pt, pc)
-            out.ops.append(_cond_aware(op.kind, "CZ", (c, t), op.clbit))
+            emitted.append(replace(op, targets=(c, t)))
         elif op.name == "SWAP":
             # A SWAP from the source circuit is a logical gate, not a
             # mapping move: emit it on the (now adjacent) pair and leave
             # the layout alone.
-            out.ops.append(_cond_aware(op.kind, "SWAP", (pc, pt), op.clbit))
+            emitted.append(replace(op, targets=(pc, pt)))
         else:
             raise ValueError(f"unsupported two-qubit gate {op.name}")
 
-    report.final_layout = dict(mapping.l2p)
-    out.validate()
-    return report
+    return TranspileReport(
+        circuit=Circuit(graph.num_physical, circuit.num_clbits, emitted),
+        initial_layout=initial_layout,
+        final_layout=dict(mapping.l2p),
+        swaps=swaps,
+        reversals=reversals,
+    )
 
 
 def _embedding(layout: dict[int, int], num_logical: int, num_physical: int) -> np.ndarray:
@@ -313,13 +306,13 @@ class RoutingCheck:
         return self.legal and self.equivalent
 
 
-def check_routing(original: Circuit, report: TranspileReport, graph: CouplingGraph, atol: float = 1e-10) -> RoutingCheck:
+def check_routing(original: Circuit, report: TranspileReport, graph: CouplingGraph) -> RoutingCheck:
     """Confirm edge legality and unitary equivalence of a routing result.
 
     Legality inspects every two-qubit op in the routed circuit.  Equivalence
     compares the gate-only parts as matrices: routed composed with the
     initial embedding must equal the final embedding composed with the
-    original, up to one global phase.
+    original, up to one global phase and within ATOL_EVOLUTION.
     """
     routed = report.circuit
     violations = []
@@ -340,5 +333,5 @@ def check_routing(original: Circuit, report: TranspileReport, graph: CouplingGra
     u_routed = unitary_of(gates_only(routed))
     e_init = _embedding(report.initial_layout, original.num_qubits, routed.num_qubits)
     e_final = _embedding(report.final_layout, original.num_qubits, routed.num_qubits)
-    equivalent = matrices_equal_up_to_phase(u_routed @ e_init, e_final @ u_orig, atol=atol)
+    equivalent = matrices_equal_up_to_phase(u_routed @ e_init, e_final @ u_orig)
     return RoutingCheck(legal=not violations, equivalent=equivalent, violations=tuple(violations))

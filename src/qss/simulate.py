@@ -203,7 +203,6 @@ def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" 
     measurement collapse uses the true outcome while the recorded bit may be
     flipped by readout error.
     """
-    circuit.validate()
     layout, ncols = _draw_layout(circuit, noise)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
@@ -229,7 +228,6 @@ def enumerate_branches(circuit: Circuit) -> list[Branch]:
     final statevector.  Raises SimulationError if more than 2**16 branches
     would be produced.
     """
-    circuit.validate()
     states, creg, prob = _evolve(circuit, _draw_layout(circuit, None)[0], None)
     branches = []
     for state, reg, p in zip(states, creg.tolist(), prob.tolist()):
@@ -266,20 +264,20 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     return basis.T.copy()
 
 
-def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL_EVOLUTION) -> bool:
-    """True when a = exp(i phi) * b for a single global phase."""
+def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when a = exp(i phi) * b for a single global phase, to ATOL_EVOLUTION."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     overlap = np.vdot(b, a)
     scale = np.vdot(b, b).real
-    if abs(overlap) < atol * scale:
+    if abs(overlap) < ATOL_EVOLUTION * scale:
         return False
     phase = overlap / abs(overlap)
-    return bool(np.allclose(a, phase * b, atol=atol))
+    return bool(np.allclose(a, phase * b, atol=ATOL_EVOLUTION))
 
 
-def equivalent_up_to_phase(a: Circuit, b: Circuit, atol: float = ATOL_EVOLUTION) -> bool:
+def equivalent_up_to_phase(a: Circuit, b: Circuit) -> bool:
     """Compare two gate-only circuits as unitaries modulo global phase."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("circuits act on different qubit counts")
-    return matrices_equal_up_to_phase(unitary_of(a), unitary_of(b), atol=atol)
+    return matrices_equal_up_to_phase(unitary_of(a), unitary_of(b))

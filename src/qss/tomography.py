@@ -61,11 +61,8 @@ def measurement_variant(job: TomographyJob, basis: str) -> tuple[Circuit, int]:
     """The base circuit extended for one basis; returns (circuit, clbit)."""
     base = job.base_circuit
     clbit = base.num_clbits
-    ops = list(base.ops)
-    ops += [CircuitOp(kind="gate", name=name, targets=(job.target_qubit,)) for name in basis_change_fragment(basis)]
-    ops.append(CircuitOp(kind="measure", qubit=job.target_qubit, clbit=clbit))
-    out = Circuit(base.num_qubits, clbit + 1, ops)
-    out.validate()
+    rotation = [CircuitOp(kind="gate", name=name, targets=(job.target_qubit,)) for name in basis_change_fragment(basis)]
+    out = Circuit(base.num_qubits, clbit + 1, base.ops).extend(rotation).measure(job.target_qubit, clbit)
     return out, clbit
 
 

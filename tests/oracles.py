@@ -7,7 +7,9 @@ significant bit of the amplitude index, and a multi-qubit gate lists its
 targets most significant first.  The one exception is walk_branches, a
 frozen copy of the package's former recursive branch walk: it applies
 gates with the package kernel on purpose, so the branches of the current
-engine can be compared with it bit for bit.
+engine can be compared with it bit for bit.  circuit_error is a frozen copy
+of the package's former whole-circuit check, which ran over a finished op
+list; the package now checks each op as it is added.
 """
 
 from __future__ import annotations
@@ -241,3 +243,31 @@ def walk_branches(circuit) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
 
     walk(state0, 1.0, (0,) * circuit.num_clbits, 0)
     return leaves
+
+
+def circuit_error(ops, num_qubits: int, num_clbits: int) -> str | None:
+    """The first circuit-rule message for an op list, or None when it is valid.
+
+    Wires must be in range, each clbit may be written by one measurement,
+    and a cond may only read a clbit measured earlier in the list.
+    """
+    written: set[int] = set()
+    for i, op in enumerate(ops):
+        where = f"op {i} ({op.kind})"
+        for q in op.targets:
+            if not 0 <= q < num_qubits:
+                return f"{where}: qubit {q} out of range"
+        if op.kind == "measure":
+            if not 0 <= op.qubit < num_qubits:
+                return f"{where}: qubit {op.qubit} out of range"
+            if not 0 <= op.clbit < num_clbits:
+                return f"{where}: clbit {op.clbit} out of range"
+            if op.clbit in written:
+                return f"{where}: clbit {op.clbit} written twice"
+            written.add(op.clbit)
+        elif op.kind == "cond":
+            if not 0 <= op.clbit < num_clbits:
+                return f"{where}: clbit {op.clbit} out of range"
+            if op.clbit not in written:
+                return f"{where}: clbit {op.clbit} read before being measured"
+    return None

@@ -243,7 +243,7 @@ def test_criterion_8_transpiler_soundness(report, ibmqx4, coherent_circuit):
     def body():
         start = time.perf_counter()
         rep = route(coherent_circuit, ibmqx4)
-        rc = check_routing(coherent_circuit, rep, ibmqx4, atol=1e-10)
+        rc = check_routing(coherent_circuit, rep, ibmqx4)
         assert rc.legal and rc.equivalent, rc.violations
         assert rep.swaps == 1 and rep.reversals == 1
         assert rep.final_layout == {0: 0, 1: 1, 2: 3, 3: 2}
@@ -254,7 +254,7 @@ def test_criterion_8_transpiler_soundness(report, ibmqx4, coherent_circuit):
             for name, targets in ops:
                 c.gate(name, *targets)
             r = route(c, ibmqx4)
-            result = check_routing(c, r, ibmqx4, atol=1e-10)
+            result = check_routing(c, r, ibmqx4)
             assert result.ok, (trial, result.violations)
         elapsed = time.perf_counter() - start
         assert elapsed < 20.0

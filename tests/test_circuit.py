@@ -9,6 +9,8 @@ from qss import Circuit, CircuitOp, Counts, RunConfig
 from qss.circuit import bitstring
 from qss.fileio import SchemaError, _parse_op, parse_circuit
 
+import oracles
+
 
 def test_op_kinds_and_validation():
     CircuitOp(kind="gate", name="H", targets=(0,))
@@ -93,26 +95,111 @@ def test_circuit_register_limits():
 
 
 def test_validate_catches_range_errors():
-    c = Circuit(2, 1).gate("X", 2)
     with pytest.raises(ValueError, match="qubit 2 out of range"):
-        c.validate()
-    c = Circuit(2, 1).measure(0, 1)
+        Circuit(2, 1).gate("X", 2)
     with pytest.raises(ValueError, match="clbit 1 out of range"):
-        c.validate()
+        Circuit(2, 1).measure(0, 1)
 
 
 def test_validate_enforces_single_write_per_clbit():
-    c = Circuit(2, 1).measure(0, 0).measure(1, 0)
     with pytest.raises(ValueError, match="written twice"):
-        c.validate()
+        Circuit(2, 1).measure(0, 0).measure(1, 0)
 
 
 def test_validate_requires_measure_before_cond():
-    c = Circuit(2, 1).cond("X", 0, 0)
     with pytest.raises(ValueError, match="read before"):
-        c.validate()
+        Circuit(2, 1).cond("X", 0, 0)
     ok = Circuit(2, 1).measure(1, 0).cond("X", 0, 0)
     ok.validate()
+
+
+def _random_op(rng: np.random.Generator, n: int, m: int) -> CircuitOp:
+    """A well-formed op; one wire in ten lies just outside its register."""
+
+    def wire(size: int) -> int:
+        return int(rng.integers(size)) if size and rng.random() < 0.9 else (-1, size)[rng.integers(2)]
+
+    kind = str(rng.choice(["gate", "measure", "cond"], p=[0.3, 0.4, 0.3]))
+    if kind == "measure":
+        return CircuitOp(kind="measure", qubit=wire(n), clbit=wire(m))
+    targets = [wire(n)]
+    if rng.random() < 0.5:
+        name = ("X", "H")[rng.integers(2)]
+    else:
+        name = ("CNOT", "CZ")[rng.integers(2)]
+        while len(targets) < 2:
+            targets = list(dict.fromkeys([*targets, wire(n)]))
+    targets = tuple(targets)
+    if kind == "gate":
+        return CircuitOp(kind="gate", name=name, targets=targets)
+    return CircuitOp(kind="cond", name=name, targets=targets, clbit=wire(m))
+
+
+def _add(c: Circuit, op: CircuitOp) -> None:
+    """Append one op through the builder method for its kind."""
+    if op.kind == "gate":
+        c.gate(op.name, *op.targets)
+    elif op.kind == "measure":
+        c.measure(op.qubit, op.clbit)
+    else:
+        c.cond(op.name, op.targets, op.clbit)
+
+
+def test_checked_adds_match_the_whole_circuit_oracle():
+    rng = np.random.default_rng(20180612)
+    seen = dict.fromkeys(["written twice", "read before", "qubit", "clbit", "valid"], 0)
+    for _ in range(500):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        ops = [_random_op(rng, n, m) for _ in range(rng.integers(0, 9))]
+        expected = oracles.circuit_error(ops, n, m)
+        seen[next((k for k in seen if expected and k in expected), "valid")] += 1
+
+        # All at once, through the constructor.
+        if expected is None:
+            assert Circuit(n, m, ops).ops == tuple(ops)
+        else:
+            with pytest.raises(ValueError) as info:
+                Circuit(n, m, ops)
+            assert str(info.value) == expected
+
+        # One op at a time, through the builders: the first bad op raises
+        # and leaves everything before it in place.
+        c = Circuit(n, m)
+        for i, op in enumerate(ops):
+            if expected is not None and expected.startswith(f"op {i} "):
+                with pytest.raises(ValueError) as info:
+                    _add(c, op)
+                assert str(info.value) == expected
+                assert c.ops == tuple(ops[:i])
+                break
+            _add(c, op)
+        else:
+            assert expected is None and c.ops == tuple(ops)
+            c.validate()
+    assert min(seen.values()) >= 30, seen
+
+
+def test_failed_extend_leaves_the_circuit_unchanged():
+    c = Circuit(2, 2).measure(0, 0)
+    before = c.ops
+    bad = [CircuitOp(kind="measure", qubit=1, clbit=1), CircuitOp(kind="cond", name="X", targets=(1,), clbit=0),
+           CircuitOp(kind="measure", qubit=0, clbit=1)]
+    with pytest.raises(ValueError, match="op 3 \\(measure\\): clbit 1 written twice"):
+        c.extend(bad)
+    assert c.ops == before
+    # The clbit written inside the failed extend is still free.
+    assert c.measure(1, 1).ops == (*before, CircuitOp(kind="measure", qubit=1, clbit=1))
+
+
+def test_ops_are_read_only():
+    c = Circuit(1, 0).gate("X", 0)
+    assert isinstance(c.ops, tuple)
+    with pytest.raises(AttributeError):
+        c.ops.append(CircuitOp(kind="gate", name="X", targets=(3,)))
+    with pytest.raises(AttributeError):
+        c.ops = [CircuitOp(kind="gate", name="X", targets=(3,))]
+    copy = Circuit(c.num_qubits, c.num_clbits, c.ops).gate("H", 0)
+    assert len(c.ops) == 1 and len(copy.ops) == 2
 
 
 def test_circuit_json_round_trip():
@@ -120,13 +207,6 @@ def test_circuit_json_round_trip():
     back = parse_circuit(c.to_json())
     assert back == c
     assert back.to_json() == c.to_json()
-
-
-def test_circuit_copy_is_independent():
-    c = Circuit(1, 0).gate("X", 0)
-    d = c.copy()
-    d.gate("H", 0)
-    assert len(c.ops) == 1 and len(d.ops) == 2
 
 
 def test_bitstring_renders_clbit_zero_rightmost():

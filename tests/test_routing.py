@@ -67,6 +67,36 @@ def test_mapping_validation_and_swap():
     assert m.to_json() == {"0": 3, "1": 1}
 
 
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (CouplingGraph, (3, ((0.9, 1.7), (True, 2)))),
+        (CouplingGraph, (3, ((0, 1), (1, 2.0)))),
+        (CouplingGraph, (2.5, ((0, 1),))),
+        (CouplingGraph, (True, ())),
+        (QubitMapping, ({True: 2, 1: 0}, 3)),
+        (QubitMapping, ({0: 1.0}, 3)),
+        (QubitMapping, ({0.0: 1}, 3)),
+        (QubitMapping, ({0: 1}, 3.5)),
+    ],
+    ids=["float-edges", "float-target", "float-size", "bool-size",
+         "bool-logical", "float-physical", "float-logical", "float-register"],
+)
+def test_routing_types_reject_non_integer_wires(cls, args):
+    with pytest.raises(TypeError, match="expected an integer wire"):
+        cls(*args)
+
+
+def test_routing_types_store_numpy_wires_as_plain_ints():
+    g = CouplingGraph(np.int64(3), ((np.int32(0), np.uint8(1)), (np.int64(1), 2)))
+    assert g == CouplingGraph(3, ((0, 1), (1, 2)))
+    assert [type(w) for w in (g.num_physical, *g.edges[0], *g.edges[1])] == [int] * 5
+    assert g.allows(0, 1) and g.allows(1, 2)
+    m = QubitMapping({np.int64(0): np.int32(2), 1: np.uint8(0)}, np.int64(3))
+    assert m == QubitMapping({0: 2, 1: 0}, 3)
+    assert [type(w) for w in (m.num_physical, *m.l2p, *m.l2p.values(), *m.p2l)] == [int] * 7
+
+
 def test_reverse_control_sequence_and_unitary():
     ops = _reversed_cnot(0, 1)
     assert [(op.name, op.targets) for op in ops] == [
