@@ -17,7 +17,10 @@ import numpy as np
 from .gates import gate
 from .states import MAX_QUBITS
 
-VALID_KINDS = ("gate", "measure", "cond")
+# The fields each op kind carries, in JSON order; every other field of a
+# CircuitOp stays unset.
+_OP_FIELDS = {"gate": ("name", "targets"), "measure": ("qubit", "clbit"), "cond": ("name", "targets", "clbit")}
+VALID_KINDS = tuple(_OP_FIELDS)
 
 
 def _wire(v: object) -> int:
@@ -33,7 +36,7 @@ def _wire(v: object) -> int:
 
 @dataclass(frozen=True)
 class CircuitOp:
-    """One instruction: kind is gate, measure, or cond."""
+    """One instruction: kind is gate, measure or cond, with the fields _OP_FIELDS gives it."""
 
     kind: str
     name: str | None = None
@@ -48,6 +51,9 @@ class CircuitOp:
         for name in ("qubit", "clbit"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _wire(getattr(self, name)))
+        for name in ("name", "targets", "qubit", "clbit"):
+            if name not in _OP_FIELDS[self.kind] and getattr(self, name) not in (None, ()):
+                raise ValueError(f"{self.kind} op takes no {name}")
         if self.kind in ("gate", "cond"):
             if self.name is None:
                 raise ValueError(f"{self.kind} op needs a gate name")
@@ -58,16 +64,15 @@ class CircuitOp:
                 raise ValueError(f"duplicate targets in {self.targets}")
             if self.kind == "cond" and self.clbit is None:
                 raise ValueError("cond op needs a clbit")
-        if self.kind == "measure":
-            if self.qubit is None or self.clbit is None:
-                raise ValueError("measure op needs qubit and clbit")
+        if self.kind == "measure" and (self.qubit is None or self.clbit is None):
+            raise ValueError("measure op needs qubit and clbit")
 
     def to_json(self) -> dict:
-        if self.kind == "gate":
-            return {"kind": "gate", "name": self.name, "targets": list(self.targets)}
-        if self.kind == "measure":
-            return {"kind": "measure", "qubit": self.qubit, "clbit": self.clbit}
-        return {"kind": "cond", "name": self.name, "targets": list(self.targets), "clbit": self.clbit}
+        out: dict = {"kind": self.kind}
+        for name in _OP_FIELDS[self.kind]:
+            value = getattr(self, name)
+            out[name] = list(value) if name == "targets" else value
+        return out
 
 
 class Circuit:

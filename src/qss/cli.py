@@ -31,7 +31,6 @@ from .protocol import (
     MODES,
     RECEIVERS,
     ProtocolConfig,
-    _with_receiver_measure,
     aggregate_receiver_counts,
     assemble_circuit,
     receiver_p0,
@@ -39,7 +38,7 @@ from .protocol import (
 )
 from .routing import QubitMapping, check_routing, route
 from .simulate import SimulationError
-from .tomography import BASES, TomographyJob, run_tomography
+from .tomography import BASES, TomographyJob, measurement_variant, run_tomography
 
 COUPLING_ENV = "QSS_DEFAULT_COUPLING"
 
@@ -242,7 +241,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     target = args.target
     if target is None:
         target = float(datasets.load_reference_runs()["receiver_p0_hardware"]["8192"])
-    circuit = _with_receiver_measure(ProtocolConfig(receiver=args.receiver, mode="coherent"))
+    cfg = ProtocolConfig(receiver=args.receiver, mode="coherent")
+    circuit, _ = measurement_variant(assemble_circuit(cfg), cfg.receiver_wire, "Z")
     detail = fit_depolarizing_detail(target, circuit, p_read=args.p_read, shots=args.shots, seed=seed)
     payload = detail.to_json()
     text = dump_json(payload)

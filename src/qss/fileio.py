@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .circuit import VALID_KINDS, Circuit, CircuitOp
+from .circuit import _OP_FIELDS, VALID_KINDS, Circuit, CircuitOp
 from .routing import CouplingGraph
 from .noise import NoiseModel
 from .states import DensityMatrix
@@ -112,23 +112,24 @@ def _require_list(obj: dict, key: str, path: str) -> list:
     return v
 
 
+def _require_wires(obj: dict, key: str, path: str) -> tuple[int, ...]:
+    v = _require_list(obj, key, path)
+    if not all(_is_int(t) for t in v):
+        raise SchemaError(f"{path}.{key}", f"expected a list of integers, got {v!r}")
+    return tuple(v)
+
+
+_OP_FIELD_READERS = {"name": _require_str, "targets": _require_wires, "qubit": _require_int, "clbit": _require_int}
+
+
 def _parse_op(obj: object, path: str) -> CircuitOp:
     """One op object; a wrong type or a missing key is reported at the
-    field's path, a bad value (kind, gate name, arity) at the op's."""
+    field's path, a bad value (kind, gate name, arity) at the op's.  Keys
+    its kind does not use are ignored."""
     kind = _require(obj, "kind", path)
     if kind not in VALID_KINDS:
         raise SchemaError(path, f"unknown op kind {kind!r}")
-    fields: dict = {}
-    if kind == "measure":
-        fields["qubit"] = _require_int(obj, "qubit", path)
-    else:
-        fields["name"] = _require_str(obj, "name", path)
-        targets = _require_list(obj, "targets", path)
-        if not all(_is_int(t) for t in targets):
-            raise SchemaError(f"{path}.targets", f"expected a list of integers, got {targets!r}")
-        fields["targets"] = tuple(targets)
-    if kind != "gate":
-        fields["clbit"] = _require_int(obj, "clbit", path)
+    fields = {name: _OP_FIELD_READERS[name](obj, name, path) for name in _OP_FIELDS[kind]}
     try:
         return CircuitOp(kind=kind, **fields)
     except ValueError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, RunConfig
-from .simulate import exact_distribution, simulate_shots
+from .simulate import _exact_p0, simulate_shots
 
 
 class CalibrationError(ValueError):
@@ -99,9 +99,7 @@ def fit_depolarizing_detail(
         raise ValueError("circuit has no measurement to calibrate against")
     bit = measured[-1]
 
-    noiseless = exact_distribution(circuit)
-    pos = circuit.num_clbits - 1 - bit
-    p0_ceiling = sum(p for key, p in noiseless.items() if key[pos] == "0")
+    p0_ceiling = _exact_p0(circuit, bit)
     if target_p0 > p0_ceiling + _TOL:
         raise CalibrationError(f"target {target_p0} exceeds the noiseless value {p0_ceiling:.6f}")
 

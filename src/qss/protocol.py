@@ -22,6 +22,7 @@ from .gates import gate
 from .noise import NoiseModel
 from .simulate import enumerate_branches, simulate_shots
 from .states import DensityMatrix, StateVector, apply_gate, partial_trace
+from .tomography import measurement_variant
 
 WIRE_CHARLIE = 0
 WIRE_BOB = 1
@@ -211,14 +212,6 @@ def assemble_circuit(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> 
     return Circuit(c.num_qubits, 0, ops)
 
 
-def _with_receiver_measure(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> Circuit:
-    """The protocol circuit plus a Z readout of the receiver into the next
-    free clbit: clbit 3 after the sampled circuit, clbit 0 after the
-    coherent one (the calibration circuit)."""
-    base = assemble_circuit(cfg, secret)
-    return Circuit(base.num_qubits, base.num_clbits + 1, base.ops).measure(cfg.receiver_wire, base.num_clbits)
-
-
 def run_protocol(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> list[ProtocolTranscript]:
     """Execute the protocol and return one transcript per outcome.
 
@@ -263,7 +256,7 @@ def run_protocol(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> list
             )
         return transcripts
 
-    circuit = _with_receiver_measure(cfg, secret)
+    circuit, _ = measurement_variant(assemble_circuit(cfg, secret), cfg.receiver_wire, "Z")
     counts = simulate_shots(circuit, RunConfig(shots=cfg.shots, seed=cfg.seed), noise=cfg.noise)
     grouped: dict[tuple[int, int, int], dict[str, int]] = {}
     for key, n in counts.counts.items():

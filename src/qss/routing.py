@@ -55,36 +55,18 @@ class CouplingGraph:
         return sorted(out)
 
     def shortest_paths(self, start: int, goal: int) -> list[list[int]]:
-        """All shortest undirected paths, sorted lexicographically."""
-        if start == goal:
-            return [[start]]
-        dist = {start: 0}
-        frontier = [start]
-        while frontier and goal not in dist:
-            nxt = []
-            for u in frontier:
-                for v in self.neighbors(u):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if goal not in dist:
-            raise ValueError(f"qubits {start} and {goal} are not connected")
-        paths: list[list[int]] = []
+        """All shortest undirected paths, sorted lexicographically.
 
-        def grow(path: list[int]) -> None:
-            u = path[-1]
-            if u == goal:
-                paths.append(list(path))
-                return
-            for v in self.neighbors(u):
-                if dist.get(v) == dist[u] + 1:
-                    path.append(v)
-                    grow(path)
-                    path.pop()
-
-        grow([start])
-        return sorted(paths)
+        Every path is extended by one step per layer, and the nodes a layer
+        reaches are marked only once the whole layer is built, so paths
+        that tie on length all survive."""
+        paths, seen = [[start]], {start}
+        while not any(path[-1] == goal for path in paths):
+            paths = [path + [v] for path in paths for v in self.neighbors(path[-1]) if v not in seen]
+            if not paths:
+                raise ValueError(f"qubits {start} and {goal} are not connected")
+            seen.update(path[-1] for path in paths)
+        return sorted(path for path in paths if path[-1] == goal)
 
     def to_json(self) -> dict:
         return {"qubits": self.num_physical, "edges": [list(e) for e in self.edges]}
@@ -171,21 +153,24 @@ def _reversed_cnot(control: int, target: int, like: CircuitOp | None = None) -> 
     return [CircuitOp(kind=kind, name=name, targets=targets, clbit=clbit) for name, targets in steps]
 
 
+def _cnot(graph: CouplingGraph, control: int, target: int, like: CircuitOp | None = None) -> list[CircuitOp]:
+    """CNOT(control -> target) in ops the graph runs: the native CNOT, else
+    _reversed_cnot.  Each op takes its kind and clbit from `like`."""
+    if not graph.allows(control, target):
+        return _reversed_cnot(control, target, like)
+    if like is None:
+        return [CircuitOp(kind="gate", name="CNOT", targets=(control, target))]
+    return [replace(like, name="CNOT", targets=(control, target))]
+
+
 def decompose_swap(a: int, b: int, graph: CouplingGraph) -> list[CircuitOp]:
     """SWAP(a, b) as three alternating CNOTs legal on a directed edge.
 
-    The shape is CNOT(a->b), CNOT(b->a), CNOT(a->b), with _reversed_cnot
-    substituted for whichever orientation the graph lacks.
+    The shape is CNOT(a->b), CNOT(b->a), CNOT(a->b), each through _cnot.
     """
     if not graph.has_link(a, b):
         raise ValueError(f"qubits {a} and {b} are not adjacent")
-
-    def cnot(c: int, t: int) -> list[CircuitOp]:
-        if graph.allows(c, t):
-            return [CircuitOp(kind="gate", name="CNOT", targets=(c, t))]
-        return _reversed_cnot(c, t)
-
-    return cnot(a, b) + cnot(b, a) + cnot(a, b)
+    return _cnot(graph, a, b) + _cnot(graph, b, a) + _cnot(graph, a, b)
 
 
 def _swap_flip_count(graph: CouplingGraph, a: int, b: int) -> int:
@@ -226,6 +211,8 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
         raise ValueError(f"circuit needs {circuit.num_qubits} qubits, device has {graph.num_physical}")
     if initial is None:
         mapping = QubitMapping.identity(circuit.num_qubits, graph.num_physical)
+    elif initial.num_physical != graph.num_physical:
+        raise ValueError(f"initial mapping covers {initial.num_physical} physical qubits, device has {graph.num_physical}")
     else:
         mapping = initial.copy()
         for q in range(circuit.num_qubits):
@@ -258,11 +245,8 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
             pc, pt = (mapping.physical(q) for q in op.targets)
 
         if op.name == "CNOT":
-            if graph.allows(pc, pt):
-                emitted.append(replace(op, targets=(pc, pt)))
-            else:
-                emitted += _reversed_cnot(pc, pt, op)
-                reversals += 1
+            emitted += _cnot(graph, pc, pt, op)
+            reversals += not graph.allows(pc, pt)
         elif op.name == "CZ":
             c, t = (pc, pt) if graph.allows(pc, pt) else (pt, pc)
             emitted.append(replace(op, targets=(c, t)))

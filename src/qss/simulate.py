@@ -249,6 +249,12 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
     return {bitstring(code, m): p for code, p in sorted(dist.items())}
 
 
+def _exact_p0(circuit: Circuit, clbit: int) -> float:
+    """Exact probability that one clbit of the register reads 0."""
+    pos = circuit.num_clbits - 1 - clbit
+    return sum(p for key, p in exact_distribution(circuit).items() if key[pos] == "0")
+
+
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Dense unitary of a gate-only circuit on at most 5 qubits."""
     if circuit.num_qubits > MAX_UNITARY_QUBITS:

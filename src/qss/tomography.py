@@ -16,7 +16,7 @@ import numpy as np
 from .circuit import Circuit, CircuitOp, Counts, RunConfig, _check_seed
 from .fidelity import fidelity, pure_state_fidelity
 from .noise import NoiseModel
-from .simulate import exact_distribution, simulate_shots
+from .simulate import _exact_p0, simulate_shots
 from .states import DensityMatrix
 from .stokes import StokesVector, density_from_stokes, stokes_from_density
 
@@ -46,23 +46,22 @@ class TomographyJob:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        base = self.base_circuit
-        if not 0 <= self.target_qubit < base.num_qubits:
+        if not 0 <= self.target_qubit < self.base_circuit.num_qubits:
             raise ValueError(f"target qubit {self.target_qubit} out of range")
-        for op in base.ops:
-            if op.kind == "measure" and op.qubit == self.target_qubit:
-                raise ValueError("target qubit is already measured in the base circuit")
         if self.shots_per_basis < 1:
             raise ValueError("shots_per_basis must be >= 1")
         _check_seed(self.seed)
 
 
-def measurement_variant(job: TomographyJob, basis: str) -> tuple[Circuit, int]:
-    """The base circuit extended for one basis; returns (circuit, clbit)."""
-    base = job.base_circuit
+def measurement_variant(base: Circuit, qubit: int, basis: str) -> tuple[Circuit, int]:
+    """`base` plus a readout of `qubit` in `basis` into one more clbit;
+    returns (circuit, clbit).  Every readout added to a built circuit comes
+    from here, so the qubit is checked to be unmeasured at that moment."""
+    if any(op.kind == "measure" and op.qubit == qubit for op in base.ops):
+        raise ValueError("target qubit is already measured in the base circuit")
     clbit = base.num_clbits
-    rotation = [CircuitOp(kind="gate", name=name, targets=(job.target_qubit,)) for name in basis_change_fragment(basis)]
-    out = Circuit(base.num_qubits, clbit + 1, base.ops).extend(rotation).measure(job.target_qubit, clbit)
+    rotation = [CircuitOp(kind="gate", name=name, targets=(qubit,)) for name in basis_change_fragment(basis)]
+    out = Circuit(base.num_qubits, clbit + 1, base.ops).extend(rotation).measure(qubit, clbit)
     return out, clbit
 
 
@@ -176,7 +175,7 @@ def run_tomography(
     """
     marginals: dict[str, Counts] = {}
     for basis in BASES:
-        circuit, clbit = measurement_variant(job, basis)
+        circuit, clbit = measurement_variant(job.base_circuit, job.target_qubit, basis)
         cfg = RunConfig(shots=job.shots_per_basis, seed=basis_seed(job.seed, basis))
         counts = simulate_shots(circuit, cfg, noise=noise)
         marginals[basis] = counts.marginal(clbit)
@@ -186,12 +185,8 @@ def run_tomography(
 
 def exact_stokes(base_circuit: Circuit, target_qubit: int) -> StokesVector:
     """Stokes parameters from exact outcome probabilities, no sampling."""
-    job = TomographyJob(base_circuit=base_circuit, target_qubit=target_qubit, shots_per_basis=1)
     values = {}
     for basis in BASES:
-        circuit, clbit = measurement_variant(job, basis)
-        dist = exact_distribution(circuit)
-        pos = circuit.num_clbits - 1 - clbit
-        p0 = sum(p for key, p in dist.items() if key[pos] == "0")
-        values[basis] = 2.0 * p0 - 1.0
+        circuit, clbit = measurement_variant(base_circuit, target_qubit, basis)
+        values[basis] = 2.0 * _exact_p0(circuit, clbit) - 1.0
     return StokesVector(1.0, values["X"], values["Y"], values["Z"])

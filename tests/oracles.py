@@ -9,7 +9,10 @@ frozen copy of the package's former recursive branch walk: it applies
 gates with the package kernel on purpose, so the branches of the current
 engine can be compared with it bit for bit.  circuit_error is a frozen copy
 of the package's former whole-circuit check, which ran over a finished op
-list; the package now checks each op as it is added.
+list; the package now checks each op as it is added.  shortest_paths is a
+frozen copy of the package's former path search (breadth-first distances,
+then a recursive walk along them), which the package replaced with a
+layered search.
 """
 
 from __future__ import annotations
@@ -271,3 +274,41 @@ def circuit_error(ops, num_qubits: int, num_clbits: int) -> str | None:
             if op.clbit not in written:
                 return f"{where}: clbit {op.clbit} read before being measured"
     return None
+
+
+def shortest_paths(edges, start: int, goal: int) -> list[list[int]]:
+    """All shortest undirected paths between two nodes of a directed edge
+    list, sorted lexicographically; ValueError when none exists."""
+
+    def neighbors(q: int) -> list[int]:
+        return sorted({t for c, t in edges if c == q} | {c for c, t in edges if t == q})
+
+    if start == goal:
+        return [[start]]
+    dist = {start: 0}
+    frontier = [start]
+    while frontier and goal not in dist:
+        nxt = []
+        for u in frontier:
+            for v in neighbors(u):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    if goal not in dist:
+        raise ValueError(f"qubits {start} and {goal} are not connected")
+    paths: list[list[int]] = []
+
+    def grow(path: list[int]) -> None:
+        u = path[-1]
+        if u == goal:
+            paths.append(list(path))
+            return
+        for v in neighbors(u):
+            if dist.get(v) == dist[u] + 1:
+                path.append(v)
+                grow(path)
+                path.pop()
+
+    grow([start])
+    return sorted(paths)

@@ -1,13 +1,15 @@
 """Circuit IR: op validation, JSON schema, counts containers."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from qss import Circuit, CircuitOp, Counts, RunConfig
-from qss.circuit import bitstring
-from qss.fileio import SchemaError, _parse_op, parse_circuit
+from qss.circuit import _OP_FIELDS, VALID_KINDS, bitstring
+from qss.fileio import SchemaError, _parse_op, dump_json, parse_circuit
+from qss.gates import GATES
 
 import oracles
 
@@ -77,6 +79,62 @@ def test_op_json_schema_and_round_trip():
         assert _parse_op(op.to_json(), "$") == op
     with pytest.raises(SchemaError, match="kind"):
         _parse_op({"kind": "barrier"}, "$")
+
+
+@pytest.mark.parametrize(
+    "fields, own",
+    [
+        ({"kind": "measure", "qubit": 0, "clbit": 0, "name": "H", "targets": (1,)}, "measure op takes no name"),
+        ({"kind": "measure", "qubit": 0, "clbit": 0, "targets": (1,)}, "measure op takes no targets"),
+        ({"kind": "gate", "name": "H", "targets": (0,), "qubit": 3}, "gate op takes no qubit"),
+        ({"kind": "gate", "name": "H", "targets": (0,), "clbit": 7}, "gate op takes no clbit"),
+        ({"kind": "cond", "name": "X", "targets": (0,), "clbit": 0, "qubit": 1}, "cond op takes no qubit"),
+    ],
+)
+def test_op_rejects_fields_of_another_kind(fields, own):
+    with pytest.raises(ValueError, match=f"^{own}$"):
+        CircuitOp(**fields)
+    # The JSON reader reads only the keys of the op's kind, so the same
+    # fields in a file give an op without the stray ones, which round-trips.
+    read = _parse_op({k: list(v) if k == "targets" else v for k, v in fields.items()}, "$")
+    kept = {k: v for k, v in fields.items() if k == "kind" or k in _OP_FIELDS[fields["kind"]]}
+    assert read == CircuitOp(**kept)
+    assert _parse_op(read.to_json(), "$") == read
+
+
+def _random_valid_circuit(rng: np.random.Generator) -> Circuit:
+    """Gates of every arity, each clbit measured at most once, and conds
+    that read only clbits already measured, on 1-6 qubits."""
+    n, m = int(rng.integers(1, 7)), int(rng.integers(0, 5))
+    pool = [g for g in GATES.values() if g.arity <= n]
+    unwritten, written = [int(b) for b in rng.permutation(m)], []
+    c = Circuit(n, m)
+    for _ in range(int(rng.integers(0, 13))):
+        r = rng.random()
+        if r < 0.3 and unwritten:
+            written.append(unwritten.pop())
+            c.measure(int(rng.integers(n)), written[-1])
+            continue
+        g = pool[int(rng.integers(len(pool)))]
+        targets = tuple(int(q) for q in rng.choice(n, g.arity, replace=False))
+        if r < 0.6 and written:
+            c.cond(g.name, targets, written[int(rng.integers(len(written)))])
+        else:
+            c.gate(g.name, *targets)
+    return c
+
+
+def test_json_round_trip_of_random_circuits():
+    rng = np.random.default_rng(2018)
+    kinds = dict.fromkeys(VALID_KINDS, 0)
+    for _ in range(300):
+        c = _random_valid_circuit(rng)
+        for op in c.ops:
+            kinds[op.kind] += 1
+        back = parse_circuit(json.loads(dump_json(c.to_json())))
+        assert back == c
+        assert back.to_json() == c.to_json()
+    assert min(kinds.values()) >= 200, kinds
 
 
 def test_circuit_builder_is_chainable():

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_transpile_check_endorses_the_result(tmp_path, monkeypatch, capsys):
 def test_transpile_env_coupling(tmp_path, monkeypatch, capsys):
     coupling = tmp_path / "coupling.json"
     coupling.write_text(
-        open(datasets.data_file_path("ibmqx4.json"), encoding="utf-8").read(),
+        Path(datasets.data_file_path("ibmqx4.json")).read_text(encoding="utf-8"),
         encoding="utf-8",
     )
     monkeypatch.setenv(COUPLING_ENV, str(coupling))
@@ -260,7 +261,7 @@ def test_calibrate_matches_shipped_dataset(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "fitted p = 0.009375" in stdout
     assert "converged = True" in stdout
-    shipped = open(datasets.data_file_path("ibmqx4_calibration.json"), encoding="utf-8").read()
+    shipped = Path(datasets.data_file_path("ibmqx4_calibration.json")).read_text(encoding="utf-8")
     assert out.read_text(encoding="utf-8") == shipped
 
 

@@ -21,7 +21,8 @@ from qss import (
     x_basis_measurement_fragment,
 )
 from qss import protocol
-from qss.protocol import RECEIVERS, _with_receiver_measure
+from qss.protocol import RECEIVERS
+from qss.tomography import measurement_variant
 
 import oracles
 from conftest import ALPHA, BETA, P0_SECRET, RHO_SECRET, calibration_circuit
@@ -342,9 +343,13 @@ def test_pre_correction_evolves_the_sampled_ops_before_the_first_measurement(mon
 def test_receiver_readout_goes_to_the_next_free_clbit():
     for receiver in RECEIVERS:
         coherent = ProtocolConfig(receiver=receiver, mode="coherent")
-        assert _with_receiver_measure(coherent) == calibration_circuit(receiver)
+        assert measurement_variant(assemble_circuit(coherent), coherent.receiver_wire, "Z") == (
+            calibration_circuit(receiver),
+            0,
+        )
         sampled = ProtocolConfig(receiver=receiver)
-        c = _with_receiver_measure(sampled)
+        c, clbit = measurement_variant(assemble_circuit(sampled), sampled.receiver_wire, "Z")
+        assert clbit == 3
         assert c.num_clbits == 4
         assert c.ops[:-1] == assemble_circuit(sampled).ops
         assert c.ops[-1] == CircuitOp(kind="measure", qubit=sampled.receiver_wire, clbit=3)

@@ -1,10 +1,14 @@
 """Directed-coupling routing: graph queries, rewrites, and the checker."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from qss import (
     Circuit,
+    CircuitOp,
     CouplingGraph,
     QubitMapping,
     check_routing,
@@ -48,6 +52,87 @@ def test_shortest_paths_sorted_and_complete():
     split = CouplingGraph(4, ((0, 1), (2, 3)))
     with pytest.raises(ValueError, match="not connected"):
         split.shortest_paths(0, 3)
+
+
+def random_coupling(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
+    """A connected directed graph on n nodes: a random spanning tree plus
+    extra links, each link one-way in a random direction or, sometimes,
+    both ways."""
+    order = [int(q) for q in rng.permutation(n)]
+    links = {tuple(sorted((order[i], order[int(rng.integers(i))]))) for i in range(1, n)}
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < 0.25:
+            links.add((a, b))
+    edges = []
+    for a, b in sorted(links):
+        r = rng.random()
+        if r < 0.15:
+            edges += [(a, b), (b, a)]
+        else:
+            edges.append((a, b) if r < 0.575 else (b, a))
+    return edges
+
+
+def test_shortest_paths_match_the_frozen_search_on_random_graphs():
+    rng = np.random.default_rng(1807)
+    tied = unconnected = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        edges = random_coupling(rng, n)
+        # One graph in three has an extra node with no links.
+        g = CouplingGraph(n + int(rng.random() < 1 / 3), tuple(edges))
+        for a, b in itertools.product(range(g.num_physical), repeat=2):
+            try:
+                want = oracles.shortest_paths(edges, a, b)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    g.shortest_paths(a, b)
+                unconnected += 1
+                continue
+            assert g.shortest_paths(a, b) == want, (edges, a, b)
+            tied += len(want) > 1
+    assert tied >= 100 and unconnected >= 100, (tied, unconnected)
+
+
+def test_random_circuits_route_correctly_on_random_graphs():
+    rng = np.random.default_rng(3219)
+    placed = 0
+    for trial in range(200):
+        p = int(rng.integers(2, 6))
+        g = CouplingGraph(p, tuple(random_coupling(rng, p)))
+        n = int(rng.integers(2, p + 1))
+        ops = random_op_sequence(rng, n, int(rng.integers(1, 13)))
+        c = Circuit(n, 0)
+        for name, targets in ops:
+            c.gate(name, *targets)
+        initial = None
+        if rng.random() < 0.5:
+            initial = QubitMapping(dict(enumerate(int(q) for q in rng.permutation(p)[:n])), p)
+            placed += 1
+        report = route(c, g, initial)
+        result = check_routing(c, report, g)
+        assert result.ok, f"trial {trial}: {result.violations} ops={ops} edges={g.edges}"
+    assert 60 <= placed <= 140
+
+
+def test_conditioned_cnot_routes_like_its_gate():
+    # A cond CNOT on an adjacent pair becomes the same ops as the plain
+    # CNOT, each still conditioned on the cond's clbit.
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        p = int(rng.integers(2, 6))
+        g = CouplingGraph(p, tuple(random_coupling(rng, p)))
+        for c, t in itertools.permutations(range(p), 2):
+            if not g.has_link(c, t):
+                continue
+            plain = route(Circuit(p, 0).gate("CNOT", c, t), g)
+            measured = int(rng.integers(p))
+            conditioned = route(Circuit(p, 1).measure(measured, 0).cond("CNOT", (c, t), 0), g)
+            assert conditioned.circuit.ops[0] == CircuitOp(kind="measure", qubit=measured, clbit=0)
+            assert conditioned.circuit.ops[1:] == tuple(
+                dataclasses.replace(op, kind="cond", clbit=0) for op in plain.circuit.ops
+            )
+            assert conditioned.reversals == plain.reversals == int(not g.allows(c, t))
 
 
 def test_graph_json_round_trip(ibmqx4):
@@ -203,6 +288,14 @@ def test_route_honors_initial_layout(ibmqx4):
     assert check_routing(c, report, ibmqx4).ok
     with pytest.raises(ValueError, match="does not place"):
         route(c, ibmqx4, initial=QubitMapping({0: 0}, 5))
+
+
+def test_route_rejects_a_mapping_sized_for_another_device(ibmqx4):
+    c = Circuit(2, 0).gate("CNOT", 0, 1)
+    for mapping in (QubitMapping({0: 7, 1: 1}, 10), QubitMapping({0: 2, 1: 1}, 3)):
+        size = mapping.num_physical
+        with pytest.raises(ValueError, match=f"^initial mapping covers {size} physical qubits, device has 5$"):
+            route(c, ibmqx4, mapping)
 
 
 def test_route_keeps_terminal_measures(ibmqx4):

@@ -50,20 +50,37 @@ def test_job_validation(coherent_circuit):
         TomographyJob(base_circuit=coherent_circuit, target_qubit=7)
     with pytest.raises(ValueError, match="shots_per_basis"):
         TomographyJob(base_circuit=coherent_circuit, target_qubit=0, shots_per_basis=0)
-    measured = Circuit(2, 1).gate("H", 0).measure(0, 0)
-    with pytest.raises(ValueError, match="already measured"):
-        TomographyJob(base_circuit=measured, target_qubit=0)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
             TomographyJob(base_circuit=coherent_circuit, target_qubit=0, seed=seed)
     assert TomographyJob(base_circuit=coherent_circuit, target_qubit=0, seed=2**64 - 1).seed == 2**64 - 1
 
 
+def test_measurement_variant_rejects_a_measured_target():
+    measured = Circuit(2, 1).gate("H", 0).measure(0, 0)
+    for basis in ("Z", "X", "Y"):
+        with pytest.raises(ValueError, match="already measured"):
+            measurement_variant(measured, 0, basis)
+    with pytest.raises(ValueError, match="already measured"):
+        exact_stokes(measured, 0)
+    assert measurement_variant(measured, 1, "Z")[1] == 1
+
+
+def test_job_circuit_measured_after_the_job_is_made():
+    # The job holds the circuit, and the builders append in place, so the
+    # target can become measured after the job exists; the readout still
+    # refuses it.
+    base = Circuit(2, 1).gate("H", 0)
+    job = TomographyJob(base_circuit=base, target_qubit=0, shots_per_basis=16)
+    base.measure(0, 0)
+    with pytest.raises(ValueError, match="already measured"):
+        run_tomography(job)
+
+
 def test_measurement_variants_extend_without_mutating(coherent_circuit):
-    job = TomographyJob(base_circuit=coherent_circuit, target_qubit=0)
     before = len(coherent_circuit.ops)
     for basis, extra in (("Z", 1), ("X", 2), ("Y", 3)):
-        circuit, clbit = measurement_variant(job, basis)
+        circuit, clbit = measurement_variant(coherent_circuit, 0, basis)
         assert clbit == coherent_circuit.num_clbits
         assert circuit.num_clbits == coherent_circuit.num_clbits + 1
         assert len(circuit.ops) == before + extra
