@@ -33,7 +33,6 @@ from .simulate import (
     Branch,
     SimulationError,
     enumerate_branches,
-    equivalent_up_to_phase,
     exact_distribution,
     simulate_shots,
     unitary_of,
@@ -84,7 +83,6 @@ __all__ = [
     "decompose_swap",
     "density_from_stokes",
     "enumerate_branches",
-    "equivalent_up_to_phase",
     "estimate_stokes",
     "exact_distribution",
     "exact_stokes",

@@ -2,8 +2,10 @@
 conditioned gates, plus shot-count containers and run configuration.
 
 Ops are kept in program order.  A conditioned gate fires when its classical
-bit reads 1, which is how measurement feedforward is expressed.  Bitstring
-keys render clbit 0 rightmost.
+bit reads 1, which is how measurement feedforward is expressed.  This module
+alone knows how clbits sit in a register: clbit i is bit i of a register
+value (_register_codes), and bitstring keys render clbit 0 rightmost
+(bitstring, _key_clbit).
 """
 
 from __future__ import annotations
@@ -169,11 +171,23 @@ class Circuit:
         }
 
 
+def _register_codes(creg: np.ndarray) -> np.ndarray:
+    """Register values of clbit rows, shape (..., m) -> (...): clbit i is bit
+    i.  Registers too wide for int64 get Python-int values."""
+    m = creg.shape[-1]
+    return creg @ (1 << np.arange(m, dtype=np.int64 if m < 63 else object))
+
+
 def bitstring(code: int, num_clbits: int) -> str:
     """Render a classical register value with clbit 0 rightmost."""
     if num_clbits == 0:
         return ""
     return format(code, f"0{num_clbits}b")
+
+
+def _key_clbit(key: str, clbit: int) -> str:
+    """Clbit `clbit`'s character, "0" or "1", of a bitstring key."""
+    return key[len(key) - 1 - clbit]
 
 
 @dataclass(frozen=True)
@@ -199,9 +213,8 @@ class Counts:
         if not 0 <= clbit < self.num_clbits:
             raise ValueError(f"clbit {clbit} out of range")
         out = {"0": 0, "1": 0}
-        pos = self.num_clbits - 1 - clbit
         for key, n in self.counts.items():
-            out[key[pos]] += n
+            out[_key_clbit(key, clbit)] += n
         return Counts({k: v for k, v in out.items() if v}, 1)
 
     def p0(self, clbit: int | None = None) -> float:

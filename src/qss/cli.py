@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", metavar="L:P,...", help="initial logical:physical placement")
     p.add_argument("--check", action="store_true", help="verify legality and equivalence")
     p.add_argument("--out", metavar="PATH")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("fidelity", help="Uhlmann fidelity between two density-matrix files")
     p.add_argument("rho_t", metavar="A")
@@ -195,8 +194,6 @@ def _parse_layout(spec: str, num_physical: int) -> QubitMapping:
 
 
 def cmd_transpile(args: argparse.Namespace) -> int:
-    if args.format == "csv":
-        raise SchemaError("--format", "csv applies to counts and tomography summaries only")
     circuit = parse_circuit(read_json(args.circuit))
     coupling_file = args.coupling or os.environ.get(COUPLING_ENV) or datasets.data_file_path("ibmqx4.json")
     graph = parse_coupling(read_json(coupling_file))

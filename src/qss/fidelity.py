@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import ATOL_EVOLUTION
-from .states import DensityMatrix, StateVector
+from .states import DensityMatrix, StateVector, _is_hermitian
 
 EIG_FLOOR = 1e-9
 
@@ -22,7 +21,7 @@ def _as_matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.allclose(m, m.conj().T, atol=ATOL_EVOLUTION):
+    if not _is_hermitian(m):
         raise ValueError("matrix must be Hermitian")
     return m
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, CircuitOp, Counts, RunConfig, _check_seed
+from .circuit import Circuit, CircuitOp, Counts, RunConfig, _check_seed, _key_clbit
 from .gates import gate
 from .noise import NoiseModel
-from .simulate import enumerate_branches, simulate_shots
+from .simulate import Branch, enumerate_branches, simulate_shots
 from .states import DensityMatrix, StateVector, apply_gate, partial_trace
 from .tomography import measurement_variant
 
@@ -32,7 +32,6 @@ WIRE_SECRET = 3
 CLBIT_BELL_SECRET = 0
 CLBIT_BELL_GHZ = 1
 CLBIT_X = 2
-CLBIT_RECEIVER = 3
 
 RECEIVERS = ("charlie", "bob")
 MODES = ("sampled", "coherent", "exact")
@@ -212,6 +211,35 @@ def assemble_circuit(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> 
     return Circuit(c.num_qubits, 0, ops)
 
 
+# The announced bits, in the order a transcript names them.
+_ANNOUNCED = (CLBIT_BELL_SECRET, CLBIT_BELL_GHZ, CLBIT_X)
+
+
+def _transcript(announced: tuple[int, int, int], **fields) -> ProtocolTranscript:
+    """The transcript of one announced outcome (m_s, m_g, m_x), with the
+    corrections it selects and the mode's own fields."""
+    m_s, m_g, m_x = announced
+    corrections = tuple(correction_for(m_s, m_g, m_x))
+    return ProtocolTranscript(bell_outcome=(m_s, m_g), x_outcome=m_x, corrections_applied=corrections, **fields)
+
+
+def _receiver_state(circuit: Circuit, branch: Branch, receiver_wire: int) -> StateVector:
+    """The receiver's state in one exact branch.  Every other wire was
+    measured, so the branch state lives on the two basis states that agree
+    with the circuit's measured wires and the branch's recorded bits."""
+    base = 0
+    for op in circuit.ops:
+        if op.kind == "measure":
+            base |= branch.clbits[op.clbit] << op.qubit
+    return StateVector(np.array([branch.state[base], branch.state[base | (1 << receiver_wire)]], dtype=complex))
+
+
+def _reduced_state(circuit: Circuit, receiver_wire: int) -> DensityMatrix:
+    """The receiver's reduced state at the end of a measurement-free circuit."""
+    (branch,) = enumerate_branches(circuit)
+    return partial_trace(StateVector(branch.state), (receiver_wire,))
+
+
 def run_protocol(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> list[ProtocolTranscript]:
     """Execute the protocol and return one transcript per outcome.
 
@@ -219,64 +247,33 @@ def run_protocol(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> list
     receiver's Z counts for each group.  Exact mode enumerates all eight
     branches with exact probabilities and receiver states.  Coherent mode
     returns a single transcript holding the receiver's reduced density
-    matrix.
+    matrix.  Every outcome is read from the clbits of the circuit that ran.
     """
     if cfg.mode == "coherent":
-        circuit = assemble_circuit(cfg, secret)
-        (branch,) = enumerate_branches(circuit)
-        state = StateVector(branch.state)
-        rho = partial_trace(state, (cfg.receiver_wire,))
-        return [
-            ProtocolTranscript(
-                bell_outcome=None,
-                x_outcome=None,
-                corrections_applied=(),
-                receiver_reduced_dm=rho,
-            )
-        ]
+        rho = _reduced_state(assemble_circuit(cfg, secret), cfg.receiver_wire)
+        return [ProtocolTranscript(bell_outcome=None, x_outcome=None, corrections_applied=(), receiver_reduced_dm=rho)]
 
     if cfg.mode == "exact":
         circuit = assemble_circuit(cfg, secret)
-        transcripts = []
-        for branch in sorted(enumerate_branches(circuit), key=lambda b: b.clbits):
-            m_s, m_g, m_x = branch.clbits
-            base = (m_s << WIRE_SECRET) | (m_g << WIRE_DEALER_GHZ) | (m_x << cfg.partner_wire)
-            amps = np.array(
-                [branch.state[base], branch.state[base | (1 << cfg.receiver_wire)]],
-                dtype=complex,
-            )
-            transcripts.append(
-                ProtocolTranscript(
-                    bell_outcome=(m_s, m_g),
-                    x_outcome=m_x,
-                    corrections_applied=tuple(correction_for(m_s, m_g, m_x)),
-                    probability=branch.probability,
-                    receiver_state=StateVector(amps),
-                )
-            )
-        return transcripts
 
-    circuit, _ = measurement_variant(assemble_circuit(cfg, secret), cfg.receiver_wire, "Z")
+        def announced(b: Branch) -> tuple[int, ...]:
+            return tuple(b.clbits[c] for c in _ANNOUNCED)
+
+        return [
+            _transcript(
+                announced(b), probability=b.probability, receiver_state=_receiver_state(circuit, b, cfg.receiver_wire)
+            )
+            for b in sorted(enumerate_branches(circuit), key=announced)
+        ]
+
+    circuit, receiver_clbit = measurement_variant(assemble_circuit(cfg, secret), cfg.receiver_wire, "Z")
     counts = simulate_shots(circuit, RunConfig(shots=cfg.shots, seed=cfg.seed), noise=cfg.noise)
     grouped: dict[tuple[int, int, int], dict[str, int]] = {}
     for key, n in counts.counts.items():
-        m_s = int(key[3 - CLBIT_BELL_SECRET])
-        m_g = int(key[3 - CLBIT_BELL_GHZ])
-        m_x = int(key[3 - CLBIT_X])
-        rec = key[3 - CLBIT_RECEIVER]
-        branch = grouped.setdefault((m_s, m_g, m_x), {})
-        branch[rec] = branch.get(rec, 0) + n
-    transcripts = []
-    for (m_s, m_g, m_x), tally in sorted(grouped.items()):
-        transcripts.append(
-            ProtocolTranscript(
-                bell_outcome=(m_s, m_g),
-                x_outcome=m_x,
-                corrections_applied=tuple(correction_for(m_s, m_g, m_x)),
-                receiver_counts=Counts(tally, 1),
-            )
-        )
-    return transcripts
+        tally = grouped.setdefault(tuple(int(_key_clbit(key, c)) for c in _ANNOUNCED), {})
+        rec = _key_clbit(key, receiver_clbit)
+        tally[rec] = tally.get(rec, 0) + n
+    return [_transcript(announced, receiver_counts=Counts(tally, 1)) for announced, tally in sorted(grouped.items())]
 
 
 def aggregate_receiver_counts(transcripts: list[ProtocolTranscript]) -> Counts:
@@ -316,5 +313,4 @@ def pre_correction_reduced_dm(cfg: ProtocolConfig, secret: SecretSpec = SecretSp
     measurement."""
     ops = assemble_circuit(ProtocolConfig(receiver=cfg.receiver), secret).ops
     first = next(i for i, op in enumerate(ops) if op.kind == "measure")
-    (branch,) = enumerate_branches(Circuit(4, 0, ops[:first]))
-    return partial_trace(StateVector(branch.state), (cfg.receiver_wire,))
+    return _reduced_state(Circuit(4, 0, ops[:first]), cfg.receiver_wire)

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circuit import Circuit, Counts, RunConfig
+from .circuit import Circuit, Counts, RunConfig, _key_clbit, _register_codes, bitstring
 from .gates import ATOL_EVOLUTION, PAULIS, gate
 from .states import _gather_tables, apply_unitary
 
@@ -57,9 +57,6 @@ class Branch:
     clbits: tuple[int, ...]
     probability: float
     state: np.ndarray = field(repr=False)
-
-    def register_code(self) -> int:
-        return sum(b << i for i, b in enumerate(self.clbits))
 
 
 def _draw_layout(circuit: Circuit, noise: "NoiseModel | None") -> tuple[list[dict], int]:
@@ -207,7 +204,6 @@ def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
     m = circuit.num_clbits
-    weights = 1 << np.arange(m, dtype=np.int64)
     tally = np.zeros(2**m, dtype=np.int64)
     rows = max(1, _CHUNK_AMPS // max(2**circuit.num_qubits, ncols))
     for start in range(0, cfg.shots, rows):
@@ -216,7 +212,7 @@ def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" 
         # its states buffer is held while the next batch runs.
         stop = min(start + rows, cfg.shots)
         creg, group = _evolve(circuit, layout, rng.random((stop - start, max(ncols, 1))))[1:]
-        tally += np.bincount((creg @ weights)[group], minlength=2**m)
+        tally += np.bincount(_register_codes(creg)[group], minlength=2**m)
     return Counts._from_tally(tally, m)
 
 
@@ -238,21 +234,18 @@ def enumerate_branches(circuit: Circuit) -> list[Branch]:
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
-    """Exact classical-register distribution, keyed by bitstring."""
-    from .circuit import bitstring
-
-    m = circuit.num_clbits
+    """Exact classical-register distribution, keyed by bitstring; branches
+    that end in the same register value add up in depth-first order."""
+    _, creg, prob = _evolve(circuit, _draw_layout(circuit, None)[0], None)
     dist: dict[int, float] = {}
-    for br in enumerate_branches(circuit):
-        code = br.register_code()
-        dist[code] = dist.get(code, 0.0) + br.probability
-    return {bitstring(code, m): p for code, p in sorted(dist.items())}
+    for code, p in zip(_register_codes(creg).tolist(), prob.tolist()):
+        dist[code] = dist.get(code, 0.0) + p
+    return {bitstring(code, circuit.num_clbits): p for code, p in sorted(dist.items())}
 
 
 def _exact_p0(circuit: Circuit, clbit: int) -> float:
     """Exact probability that one clbit of the register reads 0."""
-    pos = circuit.num_clbits - 1 - clbit
-    return sum(p for key, p in exact_distribution(circuit).items() if key[pos] == "0")
+    return sum(p for key, p in exact_distribution(circuit).items() if _key_clbit(key, clbit) == "0")
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -281,9 +274,3 @@ def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
     phase = overlap / abs(overlap)
     return bool(np.allclose(a, phase * b, atol=ATOL_EVOLUTION))
 
-
-def equivalent_up_to_phase(a: Circuit, b: Circuit) -> bool:
-    """Compare two gate-only circuits as unitaries modulo global phase."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("circuits act on different qubit counts")
-    return matrices_equal_up_to_phase(unitary_of(a), unitary_of(b))

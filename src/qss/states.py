@@ -140,6 +140,14 @@ def apply_gate(state: StateVector, g: GateMatrix | str, targets: tuple[int, ...]
     return StateVector(apply_unitary(state.amplitudes, g.matrix, targets, state.num_qubits))
 
 
+def _is_hermitian(m: np.ndarray) -> bool:
+    """m equals its conjugate transpose to ATOL_EVOLUTION.  Entries near the
+    float limit can overflow the difference to inf, which simply fails the
+    test, so numpy's overflow warning is not raised."""
+    with np.errstate(over="ignore"):
+        return bool(np.allclose(m, m.conj().T, atol=ATOL_EVOLUTION))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace matrix; positivity is queried, not enforced.
@@ -159,9 +167,10 @@ class DensityMatrix:
             raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
         if not np.all(np.isfinite(m.view(float))):
             raise ValueError("density matrix must be finite")
-        if not np.allclose(m, m.conj().T, atol=ATOL_EVOLUTION):
+        if not _is_hermitian(m):
             raise ValueError("density matrix must be Hermitian")
-        tr = complex(np.trace(m))
+        with np.errstate(over="ignore"):  # an overflowed trace is inf, and fails below
+            tr = complex(np.trace(m))
         if abs(tr - 1.0) > ATOL_EVOLUTION:
             raise ValueError(f"density matrix trace must be 1, got {tr}")
         m.setflags(write=False)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qss import Circuit, CircuitOp, Counts, RunConfig
-from qss.circuit import _OP_FIELDS, VALID_KINDS, bitstring
+from qss.circuit import _OP_FIELDS, VALID_KINDS, _key_clbit, _register_codes, bitstring
 from qss.fileio import SchemaError, _parse_op, dump_json, parse_circuit
 from qss.gates import GATES
 
@@ -271,6 +271,26 @@ def test_bitstring_renders_clbit_zero_rightmost():
     assert bitstring(6, 4) == "0110"
     assert bitstring(1, 3) == "001"
     assert bitstring(0, 0) == ""
+
+
+def test_register_encoding_round_trips_through_keys():
+    # Clbit i is bit i of a register value, and _key_clbit reads it back
+    # from the key that bitstring renders.
+    creg = np.array([[1, 0, 0], [0, 1, 1], [0, 0, 0], [1, 1, 1]], dtype=np.int64)
+    codes = _register_codes(creg).tolist()
+    assert codes == [1, 6, 0, 7]
+    for row, code in zip(creg.tolist(), codes):
+        key = bitstring(code, 3)
+        assert [int(_key_clbit(key, i)) for i in range(3)] == row
+    assert _register_codes(np.zeros((2, 0), dtype=np.int64)).tolist() == [0, 0]
+    # A register wider than int64 keeps exact values.
+    wide = np.zeros((1, 70), dtype=np.int64)
+    wide[0, [0, 69]] = 1
+    (code,) = _register_codes(wide).tolist()
+    assert code == 2**69 + 1
+    key = bitstring(code, 70)
+    assert _key_clbit(key, 69) == _key_clbit(key, 0) == "1"
+    assert key.count("1") == 2
 
 
 def test_counts_from_codes_and_total():

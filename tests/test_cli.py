@@ -1,6 +1,7 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,18 @@ def test_transpile_rejects_csv(tmp_path, monkeypatch, capsys):
     src = circuit_file(tmp_path)
     assert run_cli("transpile", src, "--format", "csv") == 2
     assert "--format" in capsys.readouterr().err
+
+
+def test_fidelity_near_the_float_limit_is_a_schema_error(tmp_path, capsys):
+    # Hermitian-checking these entries overflows; that is a failed check,
+    # not a warning on stderr.
+    big = tmp_path / "big.json"
+    write_json(str(big), {"dim": 2, "re": [[0.5, 1e308], [-1e308, 0.5]], "im": [[0, 0], [0, 0]]})
+    ok = rho_file(tmp_path, "ok.json", RHO_SECRET)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("fidelity", str(big), ok) == 2
+    assert capsys.readouterr() == ("", "error: $: density matrix must be Hermitian\n")
 
 
 def test_transpile_missing_and_malformed_inputs(tmp_path, monkeypatch, capsys):

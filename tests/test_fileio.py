@@ -1,6 +1,8 @@
 """JSON/CSV input parsing, schema errors, atomic writes."""
 
+import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from qss import (
     DensityMatrix,
     NoiseModel,
     ProtocolConfig,
+    SecretSpec,
     TomographyJob,
     assemble_circuit,
     datasets,
@@ -30,6 +33,7 @@ from qss.fileio import (
     read_json,
     write_json,
 )
+from qss.cli import main
 from qss.noise import FitResult
 
 
@@ -265,3 +269,61 @@ def test_parse_functions_accept_nested_paths():
     with pytest.raises(SchemaError) as info:
         parse_noise({"p1": 0.01}, path="$.noise")
     assert info.value.path == "$.noise.p2"
+
+
+# Seeded mutations of valid documents: one node below the root is swapped
+# for a value of the wrong type or out of range for every field of these
+# schemas, or one object key is deleted (every key here is required).
+_SWAPS = (1e308, float("nan"), True, False, [None], {})
+_VALID_DOCS = {
+    "circuit": (parse_circuit, assemble_circuit(ProtocolConfig(), SecretSpec(("H", "S"))).to_json()),
+    "coupling": (parse_coupling, datasets.load_ibmqx4_coupling().to_json()),
+    "noise": (parse_noise, NoiseModel(0.01, 0.03, 0.02).to_json()),
+    "density": (parse_density_matrix, DensityMatrix(np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]])).to_json()),
+}
+# A CLI command line that reads the mutated file at {}.
+_CLI_READERS = {
+    "circuit": ("transpile", "{}"),
+    "coupling": ("transpile", "valid-circuit.json", "--coupling", "{}"),
+    "noise": ("run", "--noise", "{}"),
+    "density": ("fidelity", "{}", "valid-density.json"),
+}
+
+
+def _mutate(doc: object, rng: np.random.Generator) -> object:
+    doc = json.loads(json.dumps(doc))
+    slots, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in children:
+            slots.append((node, key))
+            stack.append(child)
+    node, key = slots[rng.integers(len(slots))]
+    if isinstance(node, dict) and rng.random() < 0.25:
+        del node[key]
+    else:
+        node[key] = _SWAPS[rng.integers(len(_SWAPS))]
+    return doc
+
+
+@pytest.mark.parametrize("schema", sorted(_VALID_DOCS))
+def test_mutated_documents_raise_schema_error(schema, tmp_path, monkeypatch, capsys):
+    parse, doc = _VALID_DOCS[schema]
+    parse(doc)
+    rng = np.random.default_rng(sorted(_VALID_DOCS).index(schema))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(500):
+            with pytest.raises(SchemaError):
+                parse(_mutate(doc, rng))
+        monkeypatch.chdir(tmp_path)
+        for name in ("circuit", "density"):
+            write_json(f"valid-{name}.json", _VALID_DOCS[name][1])
+        for i in range(5):
+            with open(f"mutated-{i}.json", "w", encoding="utf-8") as fh:
+                json.dump(_mutate(doc, rng), fh)
+            argv = [arg.format(f"mutated-{i}.json") for arg in _CLI_READERS[schema]]
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)

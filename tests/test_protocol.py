@@ -21,7 +21,7 @@ from qss import (
     x_basis_measurement_fragment,
 )
 from qss import protocol
-from qss.protocol import RECEIVERS
+from qss.protocol import MODES, RECEIVERS
 from qss.tomography import measurement_variant
 
 import oracles
@@ -353,3 +353,21 @@ def test_receiver_readout_goes_to_the_next_free_clbit():
         assert c.num_clbits == 4
         assert c.ops[:-1] == assemble_circuit(sampled).ops
         assert c.ops[-1] == CircuitOp(kind="measure", qubit=sampled.receiver_wire, clbit=3)
+
+
+@pytest.mark.parametrize("receiver", RECEIVERS)
+@pytest.mark.parametrize("mode", MODES)
+def test_outcomes_are_read_by_clbit_not_by_key_position(monkeypatch, receiver, mode):
+    # One more, unused clbit moves the sampled receiver readout to clbit 4
+    # of 5 and lengthens every register; each outcome must still be read
+    # from the clbit the circuit wrote it to.
+    cfg = ProtocolConfig(receiver=receiver, mode=mode, shots=4096, seed=11)
+    want = [t.to_json() for t in run_protocol(cfg)]
+    assemble = protocol.assemble_circuit
+
+    def with_spare_clbit(cfg, secret=SecretSpec()):
+        c = assemble(cfg, secret)
+        return Circuit(c.num_qubits, c.num_clbits + 1, c.ops)
+
+    monkeypatch.setattr(protocol, "assemble_circuit", with_spare_clbit)
+    assert [t.to_json() for t in run_protocol(cfg)] == want

@@ -232,6 +232,10 @@ def test_partial_trace_validates():
 def test_density_matrix_validation():
     with pytest.raises(ValueError, match="Hermitian"):
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex))
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(np.diag([1e308, 1e308]).astype(complex))
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix(np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="square"):

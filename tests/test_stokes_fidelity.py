@@ -156,6 +156,8 @@ def test_fidelity_rejects_mismatched_shapes():
         fidelity(np.eye(2) / 2, np.eye(4) / 4)
     with pytest.raises(ValueError, match="Hermitian"):
         fidelity(np.array([[0.5, 0.5], [0.0, 0.5]]), np.eye(2) / 2)
+    with pytest.raises(ValueError, match="Hermitian"):
+        fidelity(np.array([[0.5, 1e308], [-1e308, 0.5]]), np.eye(2) / 2)
 
 
 def test_pure_state_fidelity_tolerates_unphysical_input():
