@@ -178,6 +178,15 @@ def _register_codes(creg: np.ndarray) -> np.ndarray:
     return creg @ (1 << np.arange(m, dtype=np.int64 if m < 63 else object))
 
 
+def _tally(codes: np.ndarray, weights: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values among `codes`, ascending, and the sum of the
+    weights of each, added in order; no array spans every register value."""
+    distinct, where = np.unique(codes, return_inverse=True)
+    tally = np.zeros(distinct.size, dtype=np.result_type(weights))
+    np.add.at(tally, where, weights)
+    return distinct, tally
+
+
 def bitstring(code: int, num_clbits: int) -> str:
     """Render a classical register value with clbit 0 rightmost."""
     if num_clbits == 0:
@@ -199,7 +208,7 @@ class Counts:
 
     def __post_init__(self) -> None:
         for key, n in self.counts.items():
-            if len(key) != self.num_clbits:
+            if len(key) != self.num_clbits or key.strip("01"):
                 raise ValueError(f"key {key!r} does not match {self.num_clbits} clbits")
             if n < 0:
                 raise ValueError(f"negative count for {key!r}")
@@ -233,12 +242,12 @@ class Counts:
     @classmethod
     def from_codes(cls, codes: np.ndarray, num_clbits: int) -> "Counts":
         """Tally integer register values into bitstring counts."""
-        return cls._from_tally(np.bincount(codes, minlength=2**num_clbits), num_clbits)
+        return cls._from_tally(*_tally(np.asarray(codes), 1), num_clbits)
 
     @classmethod
-    def _from_tally(cls, tally: np.ndarray, num_clbits: int) -> "Counts":
-        """Bitstring counts from a 2**num_clbits array of counts per value."""
-        return cls({bitstring(i, num_clbits): int(n) for i, n in enumerate(tally) if n}, num_clbits)
+    def _from_tally(cls, codes: np.ndarray, tally: np.ndarray, num_clbits: int) -> "Counts":
+        """Bitstring counts of distinct ascending register values; zeros are left out."""
+        return cls({bitstring(c, num_clbits): n for c, n in zip(codes.tolist(), tally.tolist()) if n}, num_clbits)
 
 
 def _check_seed(seed: int) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityMatrix, StateVector, _is_hermitian
+from .states import DensityMatrix, StateVector, _check_hermitian
 
 EIG_FLOOR = 1e-9
 
@@ -21,8 +21,7 @@ def _as_matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not _is_hermitian(m):
-        raise ValueError("matrix must be Hermitian")
+    _check_hermitian(m, "matrix")
     return m
 
 

@@ -20,8 +20,8 @@ import numpy as np
 from .circuit import Circuit, CircuitOp, Counts, RunConfig, _check_seed, _key_clbit
 from .gates import gate
 from .noise import NoiseModel
-from .simulate import Branch, enumerate_branches, simulate_shots
-from .states import DensityMatrix, StateVector, apply_gate, partial_trace
+from .simulate import Branch, _qubit_state, enumerate_branches, simulate_shots
+from .states import DensityMatrix, StateVector, apply_gate
 from .tomography import measurement_variant
 
 WIRE_CHARLIE = 0
@@ -234,12 +234,6 @@ def _receiver_state(circuit: Circuit, branch: Branch, receiver_wire: int) -> Sta
     return StateVector(np.array([branch.state[base], branch.state[base | (1 << receiver_wire)]], dtype=complex))
 
 
-def _reduced_state(circuit: Circuit, receiver_wire: int) -> DensityMatrix:
-    """The receiver's reduced state at the end of a measurement-free circuit."""
-    (branch,) = enumerate_branches(circuit)
-    return partial_trace(StateVector(branch.state), (receiver_wire,))
-
-
 def run_protocol(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> list[ProtocolTranscript]:
     """Execute the protocol and return one transcript per outcome.
 
@@ -250,7 +244,7 @@ def run_protocol(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> list
     matrix.  Every outcome is read from the clbits of the circuit that ran.
     """
     if cfg.mode == "coherent":
-        rho = _reduced_state(assemble_circuit(cfg, secret), cfg.receiver_wire)
+        rho = _qubit_state(assemble_circuit(cfg, secret), cfg.receiver_wire)
         return [ProtocolTranscript(bell_outcome=None, x_outcome=None, corrections_applied=(), receiver_reduced_dm=rho)]
 
     if cfg.mode == "exact":
@@ -313,4 +307,4 @@ def pre_correction_reduced_dm(cfg: ProtocolConfig, secret: SecretSpec = SecretSp
     measurement."""
     ops = assemble_circuit(ProtocolConfig(receiver=cfg.receiver), secret).ops
     first = next(i for i, op in enumerate(ops) if op.kind == "measure")
-    return _reduced_state(Circuit(4, 0, ops[:first]), cfg.receiver_wire)
+    return _qubit_state(Circuit(4, 0, ops[:first]), cfg.receiver_wire)

@@ -7,7 +7,7 @@ register bit reads 1.
 
 Sampled runs map every shot to a group id.  Randomness comes from a
 counter-based generator (Philox) keyed by the run seed, laid out as one row
-of uniforms per shot with a fixed column per consumption site, so results
+of uniforms per shot with fixed columns per op (_op_draws), so results
 are independent of batching and a zero-probability noise channel consumes no
 draws at all: a run with NoiseModel(0, 0, 0) is bit-identical to a noiseless
 run.  A Pauli hit moves only the shots it hits into new groups keyed by
@@ -17,8 +17,8 @@ and a Pauli hit is an index gather with a phase, not a dense kernel.
 
 A batch holds at most _CHUNK_AMPS amplitudes of state capacity (one row per
 shot) and at most _CHUNK_AMPS uniform draws, or one shot if a single shot
-exceeds either.  Each batch is tallied into a 2**m counter as it finishes,
-so peak memory is O(_CHUNK_AMPS) whatever the shot count or circuit length.
+exceeds either.  Each batch joins a tally of the register values seen, so
+peak memory is O(_CHUNK_AMPS) plus that tally, whatever the shot count.
 
 Exact runs weight each group by its probability instead: a measurement
 splits every group into its nonzero-probability outcomes, 0 before 1, so the
@@ -33,9 +33,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circuit import Circuit, Counts, RunConfig, _key_clbit, _register_codes, bitstring
+from .circuit import Circuit, CircuitOp, Counts, RunConfig, _key_clbit, _register_codes, _tally, bitstring
 from .gates import ATOL_EVOLUTION, PAULIS, gate
-from .states import _gather_tables, apply_unitary
+from .states import DensityMatrix, _gather_tables, _kept_first, apply_unitary
 
 if TYPE_CHECKING:
     from .noise import NoiseModel
@@ -59,29 +59,15 @@ class Branch:
     state: np.ndarray = field(repr=False)
 
 
-def _draw_layout(circuit: Circuit, noise: "NoiseModel | None") -> tuple[list[dict], int]:
-    """Assign uniform-draw columns to each op, in program order.
-
-    Gates take (trigger, choice) per touched qubit when their depolarizing
-    probability is nonzero; measurements take one collapse draw plus one
-    readout draw when readout error is on.  Conditioned gates reserve their
-    columns whether or not they fire, so the layout is shot-independent.
-    Returns the layout and its column count.
-    """
-    p1, p2, p_read = (0.0, 0.0, 0.0) if noise is None else (noise.p1, noise.p2, noise.p_read)
-    layout = []
-    col = 0
-    for op in circuit.ops:
-        if op.kind == "measure":
-            readout = col + 1 if p_read > 0.0 else None
-            layout.append({"op": op, "collapse_col": col, "readout_col": readout, "p_read": p_read})
-            col += 1 if readout is None else 2
-        else:
-            p = p1 if len(op.targets) == 1 else p2
-            cols = [(col + 2 * i, col + 2 * i + 1) for i in range(len(op.targets))] if p > 0.0 else []
-            layout.append({"op": op, "p": p, "noise_cols": cols})
-            col += 2 * len(cols)
-    return layout, col
+def _op_draws(op: CircuitOp, noise: "NoiseModel | None") -> tuple[float, int]:
+    """An op's error probability under `noise` and its uniform draws per shot:
+    a collapse draw per measure, plus a readout draw if p_read > 0; a (trigger,
+    choice) pair per target of a gate or cond with p > 0, fired or not."""
+    if op.kind == "measure":
+        p = 0.0 if noise is None else noise.p_read
+        return p, 1 + (p > 0.0)
+    p = 0.0 if noise is None else noise.p1 if len(op.targets) == 1 else noise.p2
+    return p, 2 * len(op.targets) * (p > 0.0)
 
 
 def _regroup(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +103,9 @@ def _compact(states: np.ndarray, creg: np.ndarray, group: np.ndarray, g: int, le
     return live.size
 
 
-def _evolve(circuit: Circuit, layout: list[dict], u: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _evolve(
+    circuit: Circuit, u: np.ndarray | None = None, noise: "NoiseModel | None" = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evolve the distinct states of one batch of shots, or every branch.
 
     Given draws u (one row per shot) this returns (states, creg, group),
@@ -134,8 +122,10 @@ def _evolve(circuit: Circuit, layout: list[dict], u: np.ndarray | None) -> tuple
     group = None if u is None else np.zeros(cap, dtype=np.int64)
     prob = np.ones(1)
     g = 1
-    for entry in layout:
-        op = entry["op"]
+    col = 0
+    for op in circuit.ops:
+        p_err, width = _op_draws(op, noise)
+        cols, col = range(col, col + width), col + width
         if op.kind == "measure":
             bit = bits[op.qubit]
             p1 = (np.abs(states[:g]) ** 2)[:, bit == 1].sum(axis=1)
@@ -150,10 +140,10 @@ def _evolve(circuit: Circuit, layout: list[dict], u: np.ndarray | None) -> tuple
                 p = pairs[keep]
                 prob = prob[parent] * p
             else:
-                shot_outcome = (u[:, entry["collapse_col"]] >= p0[group]).astype(np.int64)
+                shot_outcome = (u[:, cols[0]] >= p0[group]).astype(np.int64)
                 shot_record = shot_outcome
-                if entry["readout_col"] is not None:
-                    shot_record = shot_outcome ^ (u[:, entry["readout_col"]] < entry["p_read"])
+                if width == 2:
+                    shot_record = shot_outcome ^ (u[:, cols[1]] < p_err)
                 keys, group = _regroup(group * 4 + shot_outcome * 2 + shot_record, 4 * g)
                 parent, outcome, recorded = keys >> 2, (keys >> 1) & 1, keys & 1
                 p = np.where(outcome == 1, p1[parent], p0[parent])
@@ -173,13 +163,13 @@ def _evolve(circuit: Circuit, layout: list[dict], u: np.ndarray | None) -> tuple
             if not rows.size:
                 continue
         states[rows] = apply_unitary(states[rows], gate(op.name).matrix, op.targets, n)
-        for q, (trigger, choice) in zip(op.targets, entry["noise_cols"]):
-            shots = np.flatnonzero(u[:, trigger] < entry["p"])
+        for q, trigger in zip(op.targets, cols[::2]):
+            shots = np.flatnonzero(u[:, trigger] < p_err)
             if op.kind == "cond":
                 shots = shots[creg[group[shots], op.clbit] == 1]
             if not shots.size:
                 continue
-            which = (u[shots, choice] * 3.0).astype(np.int64)
+            which = (u[shots, trigger + 1] * 3.0).astype(np.int64)
             keys, inv = _regroup(group[shots] * 3 + which, 3 * g)
             parent, pauli = np.divmod(keys, 3)
             perm, phase = _pauli_tables(n, q)
@@ -196,24 +186,24 @@ def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" 
     """Sample a circuit's shots and tally classical register values.
 
     Shots are processed in batches of _CHUNK_AMPS // max(2**n, draw
-    columns) shots, at least one, and each batch is tallied as it finishes;
-    measurement collapse uses the true outcome while the recorded bit may be
-    flipped by readout error.
+    columns) shots, at least one, and each batch is tallied by distinct
+    register value as it finishes; measurement collapse uses the true
+    outcome while the recorded bit may be flipped by readout error.
     """
-    layout, ncols = _draw_layout(circuit, noise)
+    ncols = sum(_op_draws(op, noise)[1] for op in circuit.ops)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
-    m = circuit.num_clbits
-    tally = np.zeros(2**m, dtype=np.int64)
+    codes, tally = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     rows = max(1, _CHUNK_AMPS // max(2**circuit.num_qubits, ncols))
     for start in range(0, cfg.shots, rows):
         # Philox fills rows in order, so drawing per batch gives the same
         # numbers as one shots x columns draw.  Neither a batch's draws nor
         # its states buffer is held while the next batch runs.
         stop = min(start + rows, cfg.shots)
-        creg, group = _evolve(circuit, layout, rng.random((stop - start, max(ncols, 1))))[1:]
-        tally += np.bincount(_register_codes(creg)[group], minlength=2**m)
-    return Counts._from_tally(tally, m)
+        creg, group = _evolve(circuit, rng.random((stop - start, max(ncols, 1))), noise)[1:]
+        held = np.bincount(group, minlength=len(creg))
+        codes, tally = _tally(np.concatenate((codes, _register_codes(creg))), np.concatenate((tally, held)))
+    return Counts._from_tally(codes, tally, circuit.num_clbits)
 
 
 def enumerate_branches(circuit: Circuit) -> list[Branch]:
@@ -224,28 +214,31 @@ def enumerate_branches(circuit: Circuit) -> list[Branch]:
     final statevector.  Raises SimulationError if more than 2**16 branches
     would be produced.
     """
-    states, creg, prob = _evolve(circuit, _draw_layout(circuit, None)[0], None)
-    branches = []
-    for state, reg, p in zip(states, creg.tolist(), prob.tolist()):
-        final = state.copy()
-        final.setflags(write=False)
-        branches.append(Branch(clbits=tuple(reg), probability=p, state=final))
-    return branches
+    states, creg, prob = _evolve(circuit)
+    states.setflags(write=False)
+    return [Branch(tuple(reg), p, state) for state, reg, p in zip(states, creg.tolist(), prob.tolist())]
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
     """Exact classical-register distribution, keyed by bitstring; branches
     that end in the same register value add up in depth-first order."""
-    _, creg, prob = _evolve(circuit, _draw_layout(circuit, None)[0], None)
-    dist: dict[int, float] = {}
-    for code, p in zip(_register_codes(creg).tolist(), prob.tolist()):
-        dist[code] = dist.get(code, 0.0) + p
-    return {bitstring(code, circuit.num_clbits): p for code, p in sorted(dist.items())}
+    _, creg, prob = _evolve(circuit)
+    codes, dist = _tally(_register_codes(creg), prob)
+    return {bitstring(code, circuit.num_clbits): p for code, p in zip(codes.tolist(), dist.tolist())}
 
 
 def _exact_p0(circuit: Circuit, clbit: int) -> float:
     """Exact probability that one clbit of the register reads 0."""
     return sum(p for key, p in exact_distribution(circuit).items() if _key_clbit(key, clbit) == "0")
+
+
+def _qubit_state(circuit: Circuit, qubit: int) -> DensityMatrix:
+    """One qubit's exact reduced state: each branch's one-qubit partial trace
+    times its probability, summed in depth-first order from the first."""
+    states, _, prob = _evolve(circuit)
+    a = _kept_first(states, [qubit])
+    terms = prob[:, None, None] * (a @ a.conj().swapaxes(1, 2))
+    return DensityMatrix(sum(terms[1:], terms[0]))
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

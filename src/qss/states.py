@@ -140,12 +140,16 @@ def apply_gate(state: StateVector, g: GateMatrix | str, targets: tuple[int, ...]
     return StateVector(apply_unitary(state.amplitudes, g.matrix, targets, state.num_qubits))
 
 
-def _is_hermitian(m: np.ndarray) -> bool:
-    """m equals its conjugate transpose to ATOL_EVOLUTION.  Entries near the
-    float limit can overflow the difference to inf, which simply fails the
-    test, so numpy's overflow warning is not raised."""
+def _check_hermitian(m: np.ndarray, what: str) -> None:
+    """Raise ValueError unless the square matrix m is finite and equals its
+    conjugate transpose to ATOL_EVOLUTION.  Entries near the float limit can
+    overflow the difference to inf, which simply fails the test, so numpy's
+    overflow warning is not raised."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} must be finite")
     with np.errstate(over="ignore"):
-        return bool(np.allclose(m, m.conj().T, atol=ATOL_EVOLUTION))
+        if not np.allclose(m, m.conj().T, atol=ATOL_EVOLUTION):
+            raise ValueError(f"{what} must be Hermitian")
 
 
 @dataclass(frozen=True)
@@ -165,10 +169,7 @@ class DensityMatrix:
         n = _num_qubits_for(m.shape[0])
         if n > MAX_QUBITS:
             raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("density matrix must be finite")
-        if not _is_hermitian(m):
-            raise ValueError("density matrix must be Hermitian")
+        _check_hermitian(m, "density matrix")
         with np.errstate(over="ignore"):  # an overflowed trace is inf, and fails below
             tr = complex(np.trace(m))
         if abs(tr - 1.0) > ATOL_EVOLUTION:
@@ -206,24 +207,22 @@ def partial_trace(state: StateVector | DensityMatrix, keep: tuple[int, ...] | li
     becomes qubit 0 of the reduced system.
     """
     keep = sorted(set(int(q) for q in keep))
-    n = state.num_qubits
     if not keep:
         raise ValueError("must keep at least one qubit")
+    if isinstance(state, StateVector):
+        a = _kept_first(state.amplitudes, keep)
+        return DensityMatrix(a @ a.conj().T)
+    # Columns split as (b, r) and then rows as (a, r'); the trace keeps r = r'.
+    t = _kept_first(_kept_first(state.matrix, keep).transpose(1, 2, 0), keep)
+    return DensityMatrix(np.einsum("brar->ab", t))
+
+
+def _kept_first(x: np.ndarray, keep: list[int]) -> np.ndarray:
+    """Split the last axis, a basis index over n qubits, into two: the bits
+    of the sorted kept qubits, most significant first, then the rest."""
+    *lead, dim = x.shape
+    n, k, b = dim.bit_length() - 1, len(keep), len(lead)
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"kept qubits {keep} out of range for {n} qubits")
-    k = len(keep)
-    # Axes for kept qubits, most significant kept qubit first.
-    kept_axes = [n - 1 - q for q in reversed(keep)]
-
-    if isinstance(state, StateVector):
-        t = state.amplitudes.reshape((2,) * n)
-        t = np.moveaxis(t, kept_axes, range(k))
-        a = t.reshape(2**k, -1)
-        return DensityMatrix(a @ a.conj().T)
-
-    t = state.matrix.reshape((2,) * (2 * n))
-    row_axes = kept_axes
-    col_axes = [n + ax for ax in kept_axes]
-    t = np.moveaxis(t, row_axes + col_axes, list(range(k)) + list(range(n, n + k)))
-    t = t.reshape(2**k, 2 ** (n - k), 2**k, 2 ** (n - k))
-    return DensityMatrix(np.einsum("arbr->ab", t))
+    t = np.moveaxis(x.reshape((*lead,) + (2,) * n), [b + n - 1 - q for q in reversed(keep)], range(b, b + k))
+    return t.reshape((*lead, 2**k, -1))

@@ -1,10 +1,11 @@
 """Single-qubit state tomography from Z/X/Y measurement statistics.
 
-Each basis gets its own circuit variant: the base circuit, a basis-change
-fragment on the target qubit, and a terminal Z measurement into a fresh
-clbit.  Frequencies become Stokes parameters, the Pauli expansion gives the
-raw density matrix, and an over-long Bloch vector is rescaled onto the unit
-sphere to restore positivity.
+Each sampled basis gets its own circuit variant: the base circuit, a
+basis-change fragment on the target qubit, and a terminal Z measurement into
+a fresh clbit.  Frequencies become Stokes parameters, the Pauli expansion
+gives the raw density matrix, and an over-long Bloch vector is rescaled onto
+the unit sphere to restore positivity.  Exact tomography reads the target's
+reduced state instead.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .circuit import Circuit, CircuitOp, Counts, RunConfig, _check_seed
 from .fidelity import fidelity, pure_state_fidelity
 from .noise import NoiseModel
-from .simulate import _exact_p0, simulate_shots
+from .simulate import _qubit_state, simulate_shots
 from .states import DensityMatrix
 from .stokes import StokesVector, density_from_stokes, stokes_from_density
 
@@ -53,12 +54,17 @@ class TomographyJob:
         _check_seed(self.seed)
 
 
+def _check_unmeasured(base: Circuit, qubit: int) -> None:
+    """Refuse to read out a qubit that the base circuit already measures."""
+    if any(op.kind == "measure" and op.qubit == qubit for op in base.ops):
+        raise ValueError("target qubit is already measured in the base circuit")
+
+
 def measurement_variant(base: Circuit, qubit: int, basis: str) -> tuple[Circuit, int]:
     """`base` plus a readout of `qubit` in `basis` into one more clbit;
     returns (circuit, clbit).  Every readout added to a built circuit comes
     from here, so the qubit is checked to be unmeasured at that moment."""
-    if any(op.kind == "measure" and op.qubit == qubit for op in base.ops):
-        raise ValueError("target qubit is already measured in the base circuit")
+    _check_unmeasured(base, qubit)
     clbit = base.num_clbits
     rotation = [CircuitOp(kind="gate", name=name, targets=(qubit,)) for name in basis_change_fragment(basis)]
     out = Circuit(base.num_qubits, clbit + 1, base.ops).extend(rotation).measure(qubit, clbit)
@@ -184,9 +190,6 @@ def run_tomography(
 
 
 def exact_stokes(base_circuit: Circuit, target_qubit: int) -> StokesVector:
-    """Stokes parameters from exact outcome probabilities, no sampling."""
-    values = {}
-    for basis in BASES:
-        circuit, clbit = measurement_variant(base_circuit, target_qubit, basis)
-        values[basis] = 2.0 * _exact_p0(circuit, clbit) - 1.0
-    return StokesVector(1.0, values["X"], values["Y"], values["Z"])
+    """Stokes parameters of the target qubit's exact reduced state, no sampling."""
+    _check_unmeasured(base_circuit, target_qubit)
+    return replace(stokes_from_density(_qubit_state(base_circuit, target_qubit)), s0=1.0)

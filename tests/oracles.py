@@ -12,7 +12,9 @@ of the package's former whole-circuit check, which ran over a finished op
 list; the package now checks each op as it is added.  shortest_paths is a
 frozen copy of the package's former path search (breadth-first distances,
 then a recursive walk along them), which the package replaced with a
-layered search.
+layered search.  exact_stokes_by_variants is a frozen copy of the package's
+former exact tomography, which ran one measured variant circuit per basis
+through the exact engine; the package now reads the reduced state once.
 """
 
 from __future__ import annotations
@@ -246,6 +248,20 @@ def walk_branches(circuit) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
 
     walk(state0, 1.0, (0,) * circuit.num_clbits, 0)
     return leaves
+
+
+def exact_stokes_by_variants(base, qubit: int) -> tuple[float, float, float, float]:
+    """(1, s1, s2, s3) of a qubit, each s = 2 P(0) - 1 of the readout clbit
+    of the base circuit's measured variant in that basis (X, Y, Z), with
+    P(0) summed from the exact register distribution."""
+    from qss.simulate import _exact_p0
+    from qss.tomography import measurement_variant
+
+    values = {}
+    for basis in ("Z", "X", "Y"):
+        circuit, clbit = measurement_variant(base, qubit, basis)
+        values[basis] = 2.0 * _exact_p0(circuit, clbit) - 1.0
+    return (1.0, values["X"], values["Y"], values["Z"])
 
 
 def circuit_error(ops, num_qubits: int, num_clbits: int) -> str | None:

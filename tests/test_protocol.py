@@ -22,6 +22,7 @@ from qss import (
 )
 from qss import protocol
 from qss.protocol import MODES, RECEIVERS
+from qss.simulate import _qubit_state
 from qss.tomography import measurement_variant
 
 import oracles
@@ -329,7 +330,7 @@ def test_coherent_state_matches_exact_branches_for_random_secrets():
 
 def test_pre_correction_evolves_the_sampled_ops_before_the_first_measurement(monkeypatch):
     evolved = []
-    monkeypatch.setattr(protocol, "enumerate_branches", lambda c: evolved.append(c) or enumerate_branches(c))
+    monkeypatch.setattr(protocol, "_qubit_state", lambda c, q: evolved.append(c) or _qubit_state(c, q))
     for receiver in RECEIVERS:
         pre_correction_reduced_dm(ProtocolConfig(receiver=receiver, mode="coherent"), SecretSpec(("X", "S")))
     prefix = [

@@ -12,14 +12,16 @@ from qss import (
     ProtocolConfig,
     RunConfig,
     SimulationError,
+    StateVector,
     assemble_circuit,
     enumerate_branches,
     exact_distribution,
+    partial_trace,
     simulate_shots,
     unitary_of,
 )
 from qss.datasets import shipped_noise_model
-from qss.simulate import _draw_layout, _evolve, _pauli_tables, _regroup, matrices_equal_up_to_phase
+from qss.simulate import _evolve, _op_draws, _pauli_tables, _qubit_state, _regroup, matrices_equal_up_to_phase
 import qss.simulate
 
 import oracles
@@ -94,9 +96,9 @@ def record_batches(monkeypatch) -> list[int]:
     sizes: list[int] = []
     evolve = qss.simulate._evolve
 
-    def spy(circuit, layout, u):
+    def spy(circuit, u=None, noise=None):
         sizes.append(len(u))
-        return evolve(circuit, layout, u)
+        return evolve(circuit, u, noise)
 
     monkeypatch.setattr(qss.simulate, "_evolve", spy)
     return sizes
@@ -149,6 +151,11 @@ def test_from_codes_matches_the_batch_tally(monkeypatch):
     assert Counts.from_codes(codes, circuit.num_clbits) == simulate_shots(circuit, cfg, noise=model)
 
 
+def draw_columns(circuit, noise) -> int:
+    """Uniform draws per shot: the column rule summed over the ops."""
+    return sum(_op_draws(op, noise)[1] for op in circuit.ops)
+
+
 def peak_traced_bytes(circuit, shots, noise) -> int:
     """Peak bytes traced by tracemalloc while sampling, numpy buffers
     included; gate tables are cached by a warm-up run first."""
@@ -173,7 +180,7 @@ def test_long_noisy_circuit_memory_is_bounded_by_the_batch(monkeypatch):
     # alone would hold all 1024 shots' draws, 835 kB, at once.
     monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**12)
     c = noisy_chain(1, 50)
-    assert _draw_layout(c, shipped_noise_model())[1] == 102
+    assert draw_columns(c, shipped_noise_model()) == 102
     assert peak_traced_bytes(c, 1024, shipped_noise_model()) < 4 * 2**12 * 16
 
 
@@ -221,6 +228,44 @@ def test_protocol_branches_match_recursive_walk(mode, receiver):
     assert_branches_match_walk(assemble_circuit(ProtocolConfig(receiver=receiver, mode=mode)))
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_qubit_state_matches_the_dense_branch_sum(seed):
+    # Five measurements of superposed qubits, with cond ops between them,
+    # give 16-32 branches, where the coherent protocol circuit has one.
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(3, 6))
+    circuit = Circuit(n, 5)
+    for clbit in range(5):
+        for name, targets in random_op_sequence(rng, n, int(rng.integers(1, 4))):
+            circuit.gate(name, *targets)
+        if clbit and rng.random() < 0.7:
+            circuit.cond(GATE_POOL_1Q[rng.integers(len(GATE_POOL_1Q))], int(rng.integers(n)), int(rng.integers(clbit)))
+        q = int(rng.integers(n))
+        circuit.gate("H", q).measure(q, clbit)
+    leaves = oracles.walk_branches(circuit)
+    assert len(leaves) >= 4
+    for q in range(n):
+        dense = sum(p * oracles.reduced_density(state, [q], n) for _, p, state in leaves)
+        np.testing.assert_allclose(_qubit_state(circuit, q).matrix, dense, rtol=0, atol=1e-12)
+
+
+def test_qubit_state_of_one_branch_is_its_partial_trace():
+    # The weighted sum starts from the first branch, so a single branch
+    # gives partial_trace's bytes.
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        c = Circuit(n, 0)
+        for name, targets in random_op_sequence(rng, n, int(rng.integers(1, 10))):
+            c.gate(name, *targets)
+        (branch,) = enumerate_branches(c)
+        for q in range(n):
+            want = partial_trace(StateVector(branch.state), (q,)).matrix
+            assert _qubit_state(c, q).matrix.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match=r"kept qubits \[5\] out of range for 5 qubits"):
+        _qubit_state(Circuit(5, 0), 5)
+
+
 @pytest.mark.parametrize(
     "prep, draws, outcomes",
     [
@@ -234,9 +279,8 @@ def test_sampled_collapse_follows_the_draw(prep, draws, outcomes):
     # A shot reads 0 exactly when its collapse draw lies below p0, and its
     # state collapses onto the outcome's normalized basis state.
     c = Circuit(1, 1).gate(prep, 0).measure(0, 0)
-    layout, ncols = _draw_layout(c, None)
-    assert ncols == 1
-    states, creg, group = _evolve(c, layout, np.array(draws)[:, None])
+    assert draw_columns(c, None) == 1
+    states, creg, group = _evolve(c, np.array(draws)[:, None])
     assert creg[group, 0].tolist() == outcomes
     np.testing.assert_allclose(np.abs(states[group]), np.eye(2)[outcomes], atol=1e-12)
 
@@ -251,8 +295,7 @@ def test_sampled_collapse_renormalizes():
     c.measure(0, 0)
     psi = oracles.run_ops(ops, 2)
     bit = np.arange(4) & 1
-    layout, _ = _draw_layout(c, None)
-    states, creg, group = _evolve(c, layout, np.array([[0.1], [0.9]]))
+    states, creg, group = _evolve(c, np.array([[0.1], [0.9]]))
     assert creg[group, 0].tolist() == [0, 1]
     for value, row in zip((0, 1), states[group]):
         p = float((np.abs(psi[bit == value]) ** 2).sum())
@@ -284,6 +327,29 @@ def test_exact_distribution_on_a_register_wider_than_int64():
     dist = exact_distribution(c)
     assert list(dist) == ["0" * 70, "1" + "0" * 69]
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [Circuit(1, 40).gate("H", 0).measure(0, 39), Circuit(2, 70).gate("H", 0).measure(0, 69).measure(1, 3)],
+    ids=["40-clbit", "70-clbit"],
+)
+def test_wide_register_sampling_tallies_only_the_values_seen(circuit):
+    # A tally over every register value would take 2**40 or 2**70 entries.
+    counts = simulate_shots(circuit, RunConfig(shots=8, seed=1))
+    assert list(counts.counts) == list(exact_distribution(circuit))
+    assert counts.total == 8
+
+
+def test_from_codes_takes_wide_register_values():
+    codes = np.array([2**69, 0, 2**69, 2**40], dtype=object)
+    counts = Counts.from_codes(codes, 70)
+    assert list(counts.counts) == ["0" * 70, "0" * 29 + "1" + "0" * 40, "1" + "0" * 69]
+    assert list(counts.counts.values()) == [1, 1, 2]
+    assert Counts.from_codes(np.array([2**39, 5, 2**39]), 40).counts == {bin(5)[2:].zfill(40): 1, "1" + "0" * 39: 2}
+    for bad in ([-1, 0], [4, 0]):
+        with pytest.raises(ValueError, match="does not match"):
+            Counts.from_codes(np.array(bad), 2)
 
 
 def test_sampled_agrees_with_exact_distribution():

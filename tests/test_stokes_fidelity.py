@@ -172,3 +172,19 @@ def test_pure_state_fidelity_tolerates_unphysical_input():
 def test_purity():
     assert purity(np.eye(2) / 2) == pytest.approx(0.5)
     assert purity(RHO_SECRET) == pytest.approx(1.0, abs=1e-12)
+
+
+RAW_MATRIX_READERS = {
+    "fidelity": lambda m: fidelity(m, np.eye(2) / 2),
+    "fidelity-second": lambda m: fidelity(np.eye(2) / 2, m),
+    "psd_sqrt": psd_sqrt,
+    "purity": purity,
+    "pure_state_fidelity": lambda m: pure_state_fidelity(np.array([1.0, 0.0]), m),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(RAW_MATRIX_READERS))
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_non_finite_raw_matrices_are_rejected(reader, bad):
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        RAW_MATRIX_READERS[reader](np.array([[bad, 0], [0, 1]]))

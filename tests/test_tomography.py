@@ -7,10 +7,12 @@ from qss import (
     Circuit,
     Counts,
     DensityMatrix,
+    ProtocolConfig,
     SecretSpec,
     StateVector,
     StokesVector,
     TomographyJob,
+    assemble_circuit,
     basis_change_fragment,
     density_from_stokes,
     enumerate_branches,
@@ -23,6 +25,7 @@ from qss import (
     run_tomography,
     stokes_from_density,
 )
+from qss.protocol import RECEIVERS
 from qss.tomography import basis_seed, measurement_variant, reconstruct
 
 import oracles
@@ -209,6 +212,29 @@ def test_exact_stokes_agrees_with_partial_trace(coherent_circuit):
     s_direct = stokes_from_density(rho)
     s_tomo = exact_stokes(coherent_circuit, 0)
     assert s_tomo.as_tuple() == pytest.approx(s_direct.as_tuple(), abs=1e-10)
+
+
+def test_exact_stokes_matches_the_per_basis_variants():
+    # 1,000 random secrets, each read in one of the four (receiver, circuit
+    # form) pairs in turn, against the former route of one measured variant
+    # per basis.
+    rng = np.random.default_rng(2018)
+    forms = [ProtocolConfig(receiver=r, mode=m) for r in RECEIVERS for m in ("coherent", "sampled")]
+    gates = ("X", "Y", "Z", "H", "S", "SDG", "T")
+    for i in range(1000):
+        preparation = tuple(str(g) for g in rng.choice(gates, size=int(rng.integers(1, 9))))
+        cfg = forms[i % len(forms)]
+        base = assemble_circuit(cfg, SecretSpec(preparation))
+        got = exact_stokes(base, cfg.receiver_wire).as_tuple()
+        assert got[0] == 1.0
+        want = oracles.exact_stokes_by_variants(base, cfg.receiver_wire)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{preparation} {cfg}")
+
+
+def test_exact_stokes_rejects_a_qubit_outside_the_circuit(coherent_circuit):
+    for qubit in (-1, coherent_circuit.num_qubits):
+        with pytest.raises(ValueError, match=rf"kept qubits \[{qubit}\] out of range"):
+            exact_stokes(coherent_circuit, qubit)
 
 
 def test_run_tomography_is_reproducible(coherent_circuit):
