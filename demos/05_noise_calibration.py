@@ -10,7 +10,6 @@ hardware value, and a confirmation run checks the match.
 """
 
 from qss import (
-    Circuit,
     NoiseModel,
     ProtocolConfig,
     RunConfig,
@@ -18,13 +17,12 @@ from qss import (
     fit_depolarizing_detail,
     simulate_shots,
 )
+from qss.tomography import measurement_variant
 
 # Build the calibration target: the measurement-free protocol circuit
 # with a single Z readout on the receiver.
 cfg = ProtocolConfig(mode="coherent", receiver="charlie")
-base = assemble_circuit(cfg)
-circuit = Circuit(base.num_qubits, 1, list(base.ops))
-circuit.measure(cfg.receiver_wire, 0)
+circuit, _ = measurement_variant(assemble_circuit(cfg), cfg.receiver_wire, "Z")
 
 IDEAL = 0.8535533905932737
 

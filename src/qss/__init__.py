@@ -13,13 +13,10 @@ from .protocol import (
     SecretSpec,
     aggregate_receiver_counts,
     assemble_circuit,
-    build_bell_measurement_fragment,
-    build_ghz_fragment,
     correction_for,
     pre_correction_reduced_dm,
     receiver_p0,
     run_protocol,
-    x_basis_measurement_fragment,
 )
 from .routing import (
     CouplingGraph,
@@ -42,7 +39,6 @@ from .stokes import StokesVector, density_from_stokes, stokes_from_density
 from .tomography import (
     TomographyJob,
     TomographyResult,
-    basis_change_fragment,
     estimate_stokes,
     exact_stokes,
     project_to_physical,
@@ -75,9 +71,6 @@ __all__ = [
     "aggregate_receiver_counts",
     "apply_gate",
     "assemble_circuit",
-    "basis_change_fragment",
-    "build_bell_measurement_fragment",
-    "build_ghz_fragment",
     "check_routing",
     "correction_for",
     "decompose_swap",
@@ -102,5 +95,4 @@ __all__ = [
     "simulate_shots",
     "stokes_from_density",
     "unitary_of",
-    "x_basis_measurement_fragment",
 ]

@@ -67,12 +67,11 @@ def pure_state_fidelity(psi: StateVector | np.ndarray, rho: DensityMatrix | np.n
     """F = sqrt(<psi|rho|psi>) for a pure target.
 
     Defined for any Hermitian rho, including slightly unphysical tomography
-    output; the quadratic form is clipped into [0, 1] before the root.
+    output; the quadratic form is clipped into [0, 1] before the root.  A
+    raw vector is checked as a StateVector: finite, normalized, and of
+    power-of-two length.
     """
-    if isinstance(psi, StateVector):
-        v = psi.amplitudes
-    else:
-        v = np.asarray(psi, dtype=complex).reshape(-1)
+    v = (psi if isinstance(psi, StateVector) else StateVector(psi)).amplitudes
     m = _as_matrix(rho)
     if m.shape[0] != v.size:
         raise ValueError(f"dimension mismatch: state {v.size}, matrix {m.shape[0]}")

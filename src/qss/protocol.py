@@ -14,6 +14,7 @@ bits.  Modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,41 +124,6 @@ class ProtocolTranscript:
         return out
 
 
-def build_ghz_fragment(a: int, b: int, c: int) -> list[CircuitOp]:
-    """H(a), CNOT(a->b), CNOT(a->c): |000> becomes (|000>+|111>)/sqrt(2)."""
-    if len({a, b, c}) != 3:
-        raise ValueError("GHZ fragment needs three distinct qubits")
-    return [
-        CircuitOp(kind="gate", name="H", targets=(a,)),
-        CircuitOp(kind="gate", name="CNOT", targets=(a, b)),
-        CircuitOp(kind="gate", name="CNOT", targets=(a, c)),
-    ]
-
-
-def build_bell_measurement_fragment(secret: int, ghz: int) -> list[CircuitOp]:
-    """Rotate the pair out of the Bell basis and measure both qubits.
-
-    CNOT(secret->ghz), H(secret), then measure secret and ghz into clbits 0
-    and 1.  The all-zeros outcome flags the (|00>+|11>)/sqrt(2) state.
-    """
-    if secret == ghz:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    return [
-        CircuitOp(kind="gate", name="CNOT", targets=(secret, ghz)),
-        CircuitOp(kind="gate", name="H", targets=(secret,)),
-        CircuitOp(kind="measure", qubit=secret, clbit=CLBIT_BELL_SECRET),
-        CircuitOp(kind="measure", qubit=ghz, clbit=CLBIT_BELL_GHZ),
-    ]
-
-
-def x_basis_measurement_fragment(qubit: int) -> list[CircuitOp]:
-    """H then measure: clbit reads 0 exactly when the qubit held |+>."""
-    return [
-        CircuitOp(kind="gate", name="H", targets=(qubit,)),
-        CircuitOp(kind="measure", qubit=qubit, clbit=CLBIT_X),
-    ]
-
-
 # The receiver's corrections in the order they apply: each Pauli fires when
 # its clbit reads 1.  Deferred, it becomes the controlled form of the Pauli.
 _CORRECTIONS = (("X", CLBIT_BELL_GHZ), ("Z", CLBIT_BELL_SECRET), ("Z", CLBIT_X))
@@ -173,34 +139,36 @@ def correction_for(m_bell_secret: int, m_bell_ghz: int, m_x: int) -> list[str]:
     return [name for name, clbit in _CORRECTIONS if bits[clbit]]
 
 
-def assemble_circuit(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> Circuit:
-    """Build the protocol circuit for the configured mode and receiver.
+@lru_cache(maxsize=4)
+def _protocol_ops(receiver_wire: int, partner_wire: int, coherent: bool) -> tuple[CircuitOp, ...]:
+    """Every op after the secret's preparation, built once per receiver and form.
 
-    Sampled (and exact) mode: secret preparation, GHZ sharing, the dealer's
-    Bell measurement, the partner's X-basis measurement, then classically
-    conditioned corrections on the receiver; the receiver qubit itself is
-    left unmeasured.  Coherent mode is that circuit with its measurements
-    deferred: every measure is dropped and every cond becomes the
-    controlled gate (X -> CNOT, Z -> CZ) from the wire that was measured
-    into its clbit.  This is the deferred-measurement principle, and it
-    holds here because no wire is used after its measurement: a control
-    leaves its wire's Z-basis populations alone, so the receiver's reduced
-    state is the same as if the wire had been measured.
+    Sampled form: GHZ sharing from the dealer's share, the dealer's Bell
+    rotation of the secret against that share and the measurement of both
+    (the all-zeros outcome flags (|00>+|11>)/sqrt(2)), the partner's X-basis
+    measurement (0 exactly for |+>), then the receiver's corrections
+    conditioned on the announced clbits; the receiver itself is left
+    unmeasured.  Coherent form: the same ops with the measurements deferred.
+    Every measure is dropped and every cond becomes the controlled gate
+    (X -> CNOT, Z -> CZ) from the wire that was measured into its clbit.
+    This is the deferred-measurement principle, and it holds here because no
+    wire is used after its measurement: a control leaves its wire's Z-basis
+    populations alone, so the receiver's reduced state is the same as if the
+    wire had been measured.  The ops are frozen and the tuple is shared.
     """
-    c = Circuit(4, 3)
-    for name in secret.preparation:
-        c.gate(name, WIRE_SECRET)
-    c.extend(build_ghz_fragment(WIRE_DEALER_GHZ, WIRE_BOB, WIRE_CHARLIE))
-    c.extend(build_bell_measurement_fragment(WIRE_SECRET, WIRE_DEALER_GHZ))
-    c.extend(x_basis_measurement_fragment(cfg.partner_wire))
-    for name, clbit in _CORRECTIONS:
-        c.cond(name, cfg.receiver_wire, clbit)
-    if cfg.mode != "coherent":
-        return c
+    if not coherent:
+        c = Circuit(4, 3)
+        c.gate("H", WIRE_DEALER_GHZ).gate("CNOT", WIRE_DEALER_GHZ, WIRE_BOB).gate("CNOT", WIRE_DEALER_GHZ, WIRE_CHARLIE)
+        c.gate("CNOT", WIRE_SECRET, WIRE_DEALER_GHZ).gate("H", WIRE_SECRET)
+        c.measure(WIRE_SECRET, CLBIT_BELL_SECRET).measure(WIRE_DEALER_GHZ, CLBIT_BELL_GHZ)
+        c.gate("H", partner_wire).measure(partner_wire, CLBIT_X)
+        for name, clbit in _CORRECTIONS:
+            c.cond(name, receiver_wire, clbit)
+        return c.ops
 
     measured_wire: dict[int, int] = {}
     ops = []
-    for op in c.ops:
+    for op in _protocol_ops(receiver_wire, partner_wire, False):
         if op.kind == "measure":
             measured_wire[op.clbit] = op.qubit
         elif op.kind == "cond":
@@ -208,7 +176,17 @@ def assemble_circuit(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> 
             ops.append(CircuitOp(kind="gate", name=_CONTROLLED[op.name], targets=(control, *op.targets)))
         else:
             ops.append(op)
-    return Circuit(c.num_qubits, 0, ops)
+    return tuple(ops)
+
+
+def assemble_circuit(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> Circuit:
+    """Build the protocol circuit for the configured mode and receiver: the
+    secret's preparation on its wire, then the shared ops of
+    `_protocol_ops`, sampled (and exact) mode with 3 clbits, coherent mode
+    with none.  Every call returns a new circuit."""
+    coherent = cfg.mode == "coherent"
+    prep = (CircuitOp(kind="gate", name=name, targets=(WIRE_SECRET,)) for name in secret.preparation)
+    return Circuit(4, 0 if coherent else 3, (*prep, *_protocol_ops(cfg.receiver_wire, cfg.partner_wire, coherent)))
 
 
 # The announced bits, in the order a transcript names them.

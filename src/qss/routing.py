@@ -248,8 +248,7 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
             emitted += _cnot(graph, pc, pt, op)
             reversals += not graph.allows(pc, pt)
         elif op.name == "CZ":
-            c, t = (pc, pt) if graph.allows(pc, pt) else (pt, pc)
-            emitted.append(replace(op, targets=(c, t)))
+            emitted.append(replace(op, targets=_oriented(graph, pc, pt)))
         elif op.name == "SWAP":
             # A SWAP from the source circuit is a logical gate, not a
             # mapping move: emit it on the (now adjacent) pair and leave

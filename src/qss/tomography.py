@@ -1,8 +1,8 @@
 """Single-qubit state tomography from Z/X/Y measurement statistics.
 
-Each sampled basis gets its own circuit variant: the base circuit, a
-basis-change fragment on the target qubit, and a terminal Z measurement into
-a fresh clbit.  Frequencies become Stokes parameters, the Pauli expansion
+Each sampled basis gets its own circuit variant: the base circuit, the
+basis rotation on the target qubit, and a terminal Z measurement into a
+fresh clbit.  Frequencies become Stokes parameters, the Pauli expansion
 gives the raw density matrix, and an over-long Bloch vector is rescaled onto
 the unit sphere to restore positivity.  Exact tomography reads the target's
 reduced state instead.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import Circuit, CircuitOp, Counts, RunConfig, _check_seed
+from .circuit import Circuit, Counts, RunConfig, _check_seed
 from .fidelity import fidelity, pure_state_fidelity
 from .noise import NoiseModel
 from .simulate import _qubit_state, simulate_shots
@@ -23,18 +23,9 @@ from .stokes import StokesVector, density_from_stokes, stokes_from_density
 
 BASES = ("Z", "X", "Y")
 
-_FRAGMENTS = {"Z": [], "X": ["H"], "Y": ["SDG", "H"]}
-
-
-def basis_change_fragment(basis: str) -> list[str]:
-    """Gate names rotating the named basis onto Z; applied in list order.
-
-    The Y fragment is SDG then H, so the composite sends (|0>+i|1>)/sqrt(2)
-    to |0>.
-    """
-    if basis not in BASES:
-        raise ValueError(f"basis must be one of {BASES}")
-    return list(_FRAGMENTS[basis])
+# Gate names rotating each basis onto Z, applied in order.  The Y rotation
+# is SDG then H, so the composite sends (|0>+i|1>)/sqrt(2) to |0>.
+_ROTATIONS = {"Z": (), "X": ("H",), "Y": ("SDG", "H")}
 
 
 @dataclass(frozen=True)
@@ -65,10 +56,13 @@ def measurement_variant(base: Circuit, qubit: int, basis: str) -> tuple[Circuit,
     returns (circuit, clbit).  Every readout added to a built circuit comes
     from here, so the qubit is checked to be unmeasured at that moment."""
     _check_unmeasured(base, qubit)
+    if basis not in BASES:
+        raise ValueError(f"basis must be one of {BASES}")
     clbit = base.num_clbits
-    rotation = [CircuitOp(kind="gate", name=name, targets=(qubit,)) for name in basis_change_fragment(basis)]
-    out = Circuit(base.num_qubits, clbit + 1, base.ops).extend(rotation).measure(qubit, clbit)
-    return out, clbit
+    out = Circuit(base.num_qubits, clbit + 1, base.ops)
+    for name in _ROTATIONS[basis]:
+        out.gate(name, qubit)
+    return out.measure(qubit, clbit), clbit
 
 
 def basis_seed(seed: int, basis: str) -> int:

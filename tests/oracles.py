@@ -14,7 +14,11 @@ frozen copy of the package's former path search (breadth-first distances,
 then a recursive walk along them), which the package replaced with a
 layered search.  exact_stokes_by_variants is a frozen copy of the package's
 former exact tomography, which ran one measured variant circuit per basis
-through the exact engine; the package now reads the reduced state once.
+through the exact engine; the package now reads the reduced state once.  assemble_by_fragments is a
+frozen copy of the package's former protocol assembly, which rebuilt the
+circuit from GHZ, Bell-measurement and X-measurement fragment builders on
+every call and then deferred its measurements for the coherent form; the
+package now builds the ops after the secret's preparation once.
 """
 
 from __future__ import annotations
@@ -328,3 +332,45 @@ def shortest_paths(edges, start: int, goal: int) -> list[list[int]]:
 
     grow([start])
     return sorted(paths)
+
+
+def assemble_by_fragments(cfg, secret):
+    """The protocol circuit for a ProtocolConfig and SecretSpec, built as the
+    package built it from its fragment builders: secret preparation on wire
+    3, GHZ sharing from wire 2 onto 1 and 0, the Bell measurement of wires 3
+    and 2 into clbits 0 and 1, the partner's X-basis measurement into clbit
+    2, and the receiver's X, Z, Z corrections keyed by clbits 1, 0, 2.  The
+    coherent form drops each measure and turns each cond into the
+    controlled gate from the wire measured into its clbit."""
+    from qss import Circuit, CircuitOp
+
+    def gate(name, *targets):
+        return CircuitOp(kind="gate", name=name, targets=targets)
+
+    c = Circuit(4, 3)
+    for name in secret.preparation:
+        c.gate(name, 3)
+    c.extend([gate("H", 2), gate("CNOT", 2, 1), gate("CNOT", 2, 0)])
+    c.extend([
+        gate("CNOT", 3, 2),
+        gate("H", 3),
+        CircuitOp(kind="measure", qubit=3, clbit=0),
+        CircuitOp(kind="measure", qubit=2, clbit=1),
+    ])
+    c.extend([gate("H", cfg.partner_wire), CircuitOp(kind="measure", qubit=cfg.partner_wire, clbit=2)])
+    for name, clbit in (("X", 1), ("Z", 0), ("Z", 2)):
+        c.cond(name, cfg.receiver_wire, clbit)
+    if cfg.mode != "coherent":
+        return c
+
+    measured_wire: dict[int, int] = {}
+    ops = []
+    for op in c.ops:
+        if op.kind == "measure":
+            measured_wire[op.clbit] = op.qubit
+        elif op.kind == "cond":
+            control = measured_wire[op.clbit]
+            ops.append(gate({"X": "CNOT", "Z": "CZ"}[op.name], control, *op.targets))
+        else:
+            ops.append(op)
+    return Circuit(c.num_qubits, 0, ops)

@@ -1,4 +1,4 @@
-"""Secret-sharing protocol: fragments, corrections, and all three modes."""
+"""Secret-sharing protocol: the circuit, corrections, and all three modes."""
 
 import numpy as np
 import pytest
@@ -11,14 +11,11 @@ from qss import (
     StateVector,
     aggregate_receiver_counts,
     assemble_circuit,
-    build_bell_measurement_fragment,
-    build_ghz_fragment,
     correction_for,
     enumerate_branches,
     pre_correction_reduced_dm,
     receiver_p0,
     run_protocol,
-    x_basis_measurement_fragment,
 )
 from qss import protocol
 from qss.protocol import MODES, RECEIVERS
@@ -57,7 +54,16 @@ COHERENT_AFTER_PREP = {
     ],
 }
 
+# The fragments of the sampled protocol circuit of a secret with no
+# preparation, as slices of its op list: GHZ sharing, the dealer's Bell
+# measurement and the partner's X-basis measurement.
+GHZ_STEP, BELL_STEP, X_STEP = slice(0, 3), slice(3, 7), slice(7, 9)
+
 ONE_QUBIT_GATES = ("ID", "X", "Y", "Z", "H", "S", "SDG", "T")
+
+
+def sampled_ops(receiver: str) -> tuple[CircuitOp, ...]:
+    return assemble_circuit(ProtocolConfig(receiver=receiver), SecretSpec(())).ops
 
 
 def test_secret_spec_default_state():
@@ -94,58 +100,85 @@ def test_config_validation():
 
 
 def test_ghz_fragment_ops_and_state():
-    ops = build_ghz_fragment(2, 1, 0)
-    assert [(op.name, op.targets) for op in ops] == [("H", (2,)), ("CNOT", (2, 1)), ("CNOT", (2, 0))]
-    psi = oracles.run_ops([(op.name, op.targets) for op in ops], 3)
-    assert psi[0b000] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-    assert psi[0b111] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-    assert np.abs(psi[1:7]).max() == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError, match="distinct"):
-        build_ghz_fragment(0, 0, 1)
+    for receiver in RECEIVERS:
+        ops = sampled_ops(receiver)[GHZ_STEP]
+        assert [(op.name, op.targets) for op in ops] == [("H", (2,)), ("CNOT", (2, 1)), ("CNOT", (2, 0))]
+        psi = oracles.run_ops([(op.name, op.targets) for op in ops], 4)
+        assert psi[0b0000] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        assert psi[0b0111] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        assert np.abs(np.delete(psi, [0b0000, 0b0111])).max() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_bell_fragment_identifies_all_four_bell_states():
-    # prepare each Bell state on qubits (3, 2), then run the fragment;
-    # the recorded pair (clbit 0, clbit 1) tags the state uniquely
+    # prepare each Bell state on qubits (3, 2), then run the protocol's
+    # Bell measurement; the recorded pair (clbit 0, clbit 1) tags the state
+    # uniquely
     preparations = {
         (): (0, 0),  # (|00> + |11>)/sqrt(2)
         ("Z",): (1, 0),  # (|00> - |11>)/sqrt(2)
         ("Xlow",): (0, 1),  # (|01> + |10>)/sqrt(2)
         ("Z", "Xlow"): (1, 1),  # (|01> - |10>)/sqrt(2)
     }
-    for extra, expected in preparations.items():
-        c = Circuit(4, 2).gate("H", 3).gate("CNOT", 3, 2)
-        for tag in extra:
-            if tag == "Z":
-                c.gate("Z", 3)
-            else:
-                c.gate("X", 2)
-        c.extend(build_bell_measurement_fragment(3, 2))
-        (branch,) = enumerate_branches(c)
-        assert (branch.clbits[0], branch.clbits[1]) == expected, extra
-    with pytest.raises(ValueError, match="distinct"):
-        build_bell_measurement_fragment(3, 3)
+    for receiver in RECEIVERS:
+        for extra, expected in preparations.items():
+            c = Circuit(4, 2).gate("H", 3).gate("CNOT", 3, 2)
+            for tag in extra:
+                if tag == "Z":
+                    c.gate("Z", 3)
+                else:
+                    c.gate("X", 2)
+            c.extend(sampled_ops(receiver)[BELL_STEP])
+            (branch,) = enumerate_branches(c)
+            assert (branch.clbits[0], branch.clbits[1]) == expected, extra
 
 
 def test_bell_fragment_op_shape():
-    ops = build_bell_measurement_fragment(3, 2)
-    assert [(op.kind, op.name) for op in ops] == [
-        ("gate", "CNOT"),
-        ("gate", "H"),
-        ("measure", None),
-        ("measure", None),
-    ]
-    assert ops[2].qubit == 3 and ops[2].clbit == 0
-    assert ops[3].qubit == 2 and ops[3].clbit == 1
+    for receiver in RECEIVERS:
+        ops = sampled_ops(receiver)[BELL_STEP]
+        assert [(op.kind, op.name) for op in ops] == [
+            ("gate", "CNOT"),
+            ("gate", "H"),
+            ("measure", None),
+            ("measure", None),
+        ]
+        assert ops[0].targets == (3, 2) and ops[1].targets == (3,)
+        assert ops[2].qubit == 3 and ops[2].clbit == 0
+        assert ops[3].qubit == 2 and ops[3].clbit == 1
 
 
 def test_x_fragment_distinguishes_plus_minus():
-    plus = Circuit(2, 3).gate("H", 1).extend(x_basis_measurement_fragment(1))
-    (branch,) = enumerate_branches(plus)
-    assert branch.clbits[2] == 0
-    minus = Circuit(2, 3).gate("H", 1).gate("Z", 1).extend(x_basis_measurement_fragment(1))
-    (branch,) = enumerate_branches(minus)
-    assert branch.clbits[2] == 1
+    for receiver in RECEIVERS:
+        partner = ProtocolConfig(receiver=receiver).partner_wire
+        plus = Circuit(2, 3).gate("H", partner).extend(sampled_ops(receiver)[X_STEP])
+        (branch,) = enumerate_branches(plus)
+        assert branch.clbits[2] == 0
+        minus = Circuit(2, 3).gate("H", partner).gate("Z", partner).extend(sampled_ops(receiver)[X_STEP])
+        (branch,) = enumerate_branches(minus)
+        assert branch.clbits[2] == 1
+
+
+def test_assembly_matches_the_fragment_oracle():
+    rng = np.random.default_rng(1717)
+    secrets = [SecretSpec(), SecretSpec(())]
+    for _ in range(40):
+        secrets.append(SecretSpec(tuple(str(g) for g in rng.choice(ONE_QUBIT_GATES, size=int(rng.integers(0, 7))))))
+    for secret in secrets:
+        for receiver in RECEIVERS:
+            for mode in MODES:
+                cfg = ProtocolConfig(receiver=receiver, mode=mode)
+                want = oracles.assemble_by_fragments(cfg, secret)
+                assert assemble_circuit(cfg, secret) == want, (secret, receiver, mode)
+
+
+def test_extending_an_assembled_circuit_leaves_the_next_one_unchanged():
+    for receiver in RECEIVERS:
+        for mode in MODES:
+            cfg = ProtocolConfig(receiver=receiver, mode=mode)
+            first = assemble_circuit(cfg)
+            first.gate("X", cfg.receiver_wire).gate("CZ", 0, 1)
+            second = assemble_circuit(cfg)
+            assert second == oracles.assemble_by_fragments(cfg, SecretSpec())
+            assert first.ops[:-2] == second.ops
 
 
 def test_correction_table():

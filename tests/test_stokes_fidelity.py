@@ -6,6 +6,7 @@ import pytest
 
 from qss import (
     DensityMatrix,
+    StateVector,
     StokesVector,
     density_from_stokes,
     fidelity,
@@ -167,6 +168,20 @@ def test_pure_state_fidelity_tolerates_unphysical_input():
     assert pure_state_fidelity(psi, rho) == 1.0
     flipped = np.array([0.0, 1.0], dtype=complex)
     assert pure_state_fidelity(flipped, rho) == 0.0
+
+
+def test_pure_state_fidelity_checks_a_raw_vector_as_a_state():
+    # Both returned a number before the check: nan, and 1.0 from a
+    # quadratic form of 2 clipped to 1.
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        pure_state_fidelity(np.array([np.nan, 0]), np.eye(2) / 2)
+    with pytest.raises(ValueError, match="not normalized"):
+        pure_state_fidelity(np.array([2.0, 0]), np.eye(2) / 2)
+    with pytest.raises(ValueError, match="power of two"):
+        pure_state_fidelity(np.array([1.0, 0, 0]), np.eye(3) / 3)
+    assert pure_state_fidelity(np.array([1.0, 0]), np.eye(2) / 2) == pure_state_fidelity(
+        StateVector(np.array([1.0, 0])), np.eye(2) / 2
+    )
 
 
 def test_purity():

@@ -5,6 +5,7 @@ import pytest
 
 from qss import (
     Circuit,
+    CircuitOp,
     Counts,
     DensityMatrix,
     ProtocolConfig,
@@ -13,7 +14,6 @@ from qss import (
     StokesVector,
     TomographyJob,
     assemble_circuit,
-    basis_change_fragment,
     density_from_stokes,
     enumerate_branches,
     estimate_stokes,
@@ -33,19 +33,26 @@ from conftest import RHO_HW, RHO_SECRET, SQ2_HALF, STOKES_HW
 
 
 def test_basis_fragments():
-    assert basis_change_fragment("Z") == []
-    assert basis_change_fragment("X") == ["H"]
-    assert basis_change_fragment("Y") == ["SDG", "H"]
+    base = Circuit(2, 1).gate("H", 1).measure(1, 0)
+    rotations = {"Z": [], "X": [("H", (0,))], "Y": [("SDG", (0,)), ("H", (0,))]}
+    for basis, rotation in rotations.items():
+        c, clbit = measurement_variant(base, 0, basis)
+        assert (c.num_clbits, clbit) == (2, 1)
+        assert c.ops[:2] == base.ops
+        assert [(op.name, op.targets) for op in c.ops[2:-1]] == rotation
+        assert c.ops[-1] == CircuitOp(kind="measure", qubit=0, clbit=1)
     with pytest.raises(ValueError, match="basis"):
-        basis_change_fragment("W")
+        measurement_variant(base, 0, "W")
 
 
 def test_y_fragment_maps_plus_i_to_zero():
-    plus_i = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
-    psi = plus_i
-    for name in basis_change_fragment("Y"):
-        psi = oracles.GATE_MATRICES[name] @ psi
-    assert abs(psi[0]) == pytest.approx(1.0, abs=1e-12)
+    plus_i = Circuit(1).gate("H", 0).gate("S", 0)
+    psi = oracles.run_ops([(op.name, op.targets) for op in plus_i.ops], 1)
+    np.testing.assert_allclose(psi, [SQ2_HALF, 1j * SQ2_HALF], atol=1e-12)
+    c, clbit = measurement_variant(plus_i, 0, "Y")
+    (branch,) = enumerate_branches(c)
+    assert branch.clbits[clbit] == 0
+    assert branch.probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_job_validation(coherent_circuit):
