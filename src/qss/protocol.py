@@ -201,14 +201,14 @@ def _transcript(announced: tuple[int, int, int], **fields) -> ProtocolTranscript
     return ProtocolTranscript(bell_outcome=(m_s, m_g), x_outcome=m_x, corrections_applied=corrections, **fields)
 
 
-def _receiver_state(circuit: Circuit, branch: Branch, receiver_wire: int) -> StateVector:
+def _receiver_state(measured: list[tuple[int, int]], branch: Branch, receiver_wire: int) -> StateVector:
     """The receiver's state in one exact branch.  Every other wire was
     measured, so the branch state lives on the two basis states that agree
-    with the circuit's measured wires and the branch's recorded bits."""
+    with the branch's recorded bits on the circuit's measured (clbit, qubit)
+    pairs."""
     base = 0
-    for op in circuit.ops:
-        if op.kind == "measure":
-            base |= branch.clbits[op.clbit] << op.qubit
+    for clbit, qubit in measured:
+        base |= branch.clbits[clbit] << qubit
     return StateVector(np.array([branch.state[base], branch.state[base | (1 << receiver_wire)]], dtype=complex))
 
 
@@ -227,13 +227,14 @@ def run_protocol(cfg: ProtocolConfig, secret: SecretSpec = SecretSpec()) -> list
 
     if cfg.mode == "exact":
         circuit = assemble_circuit(cfg, secret)
+        measured = [(op.clbit, op.qubit) for op in circuit.ops if op.kind == "measure"]
 
         def announced(b: Branch) -> tuple[int, ...]:
             return tuple(b.clbits[c] for c in _ANNOUNCED)
 
         return [
             _transcript(
-                announced(b), probability=b.probability, receiver_state=_receiver_state(circuit, b, cfg.receiver_wire)
+                announced(b), probability=b.probability, receiver_state=_receiver_state(measured, b, cfg.receiver_wire)
             )
             for b in sorted(enumerate_branches(circuit), key=announced)
         ]

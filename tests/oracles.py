@@ -19,6 +19,13 @@ frozen copy of the package's former protocol assembly, which rebuilt the
 circuit from GHZ, Bell-measurement and X-measurement fragment builders on
 every call and then deferred its measurements for the coherent form; the
 package now builds the ops after the secret's preparation once.
+unitary_by_rows is a frozen copy of the package's former unitary_of loop,
+which evolved the identity's rows through the package kernel and then
+transposed them; the package now evolves columns.  dense_routing_check is a
+frozen copy of the package's former check_routing, which compared two full
+dense unitaries between embeddings built in a Python double loop, by
+np.allclose (up_to_phase_by_allclose); the package now evolves only the
+embedded logical basis.
 """
 
 from __future__ import annotations
@@ -374,3 +381,68 @@ def assemble_by_fragments(cfg, secret):
         else:
             ops.append(op)
     return Circuit(c.num_qubits, 0, ops)
+
+
+def unitary_by_rows(circuit) -> np.ndarray:
+    """The dense unitary of a gate-only circuit as the package once built
+    it: the identity's rows evolved as a batch of states through
+    qss.states.apply_unitary, then transposed, so the results are comparable
+    bit for bit."""
+    from qss.gates import gate
+    from qss.states import apply_unitary
+
+    n = circuit.num_qubits
+    basis = np.eye(1 << n, dtype=complex)
+    for op in circuit.ops:
+        basis = apply_unitary(basis, gate(op.name).matrix, op.targets, n)
+    return basis.T.copy()
+
+
+def up_to_phase_by_allclose(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
+    """True when a = exp(i phi) b for the phase of <b|a>, by np.allclose."""
+    overlap = np.vdot(b, a)
+    scale = np.vdot(b, b).real
+    if abs(overlap) < atol * scale:
+        return False
+    phase = overlap / abs(overlap)
+    return bool(np.allclose(a, phase * b, atol=atol))
+
+
+def dense_routing_check(original, report, graph) -> tuple[bool, bool, tuple[str, ...]]:
+    """(legal, equivalent, violations) of a routing as the package once
+    checked it: every two-qubit op of the routed circuit against the graph,
+    then the full routed unitary composed with the initial embedding against
+    the final embedding composed with the original's unitary."""
+    from qss import Circuit
+
+    routed = report.circuit
+    violations = []
+    for i, op in enumerate(routed.ops):
+        if len(op.targets) != 2:
+            continue
+        c, t = op.targets
+        if op.name in ("CZ", "SWAP"):
+            if not graph.has_link(c, t):
+                violations.append(f"op {i}: {op.name} on non-adjacent ({c}, {t})")
+        elif not graph.allows(c, t):
+            violations.append(f"op {i}: CNOT against edge direction ({c}, {t})")
+
+    def gates_only(circ):
+        return Circuit(circ.num_qubits, 0, [op for op in circ.ops if op.kind == "gate"])
+
+    def embedding(layout, num_logical, num_physical):
+        e = np.zeros((2**num_physical, 2**num_logical), dtype=complex)
+        for code in range(2**num_logical):
+            p_code = 0
+            for q in range(num_logical):
+                if (code >> q) & 1:
+                    p_code |= 1 << layout[q]
+            e[p_code, code] = 1.0
+        return e
+
+    u_orig = unitary_by_rows(gates_only(original))
+    u_routed = unitary_by_rows(gates_only(routed))
+    e_init = embedding(report.initial_layout, original.num_qubits, routed.num_qubits)
+    e_final = embedding(report.final_layout, original.num_qubits, routed.num_qubits)
+    equivalent = up_to_phase_by_allclose(u_routed @ e_init, e_final @ u_orig)
+    return not violations, equivalent, tuple(violations)

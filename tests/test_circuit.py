@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,25 @@ def test_op_json_schema_and_round_trip():
         assert _parse_op(op.to_json(), "$") == op
     with pytest.raises(SchemaError, match="kind"):
         _parse_op({"kind": "barrier"}, "$")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kind": "gate", "targets": (0,)}, "gate op needs a gate name"),
+        ({"kind": "cond", "targets": (0,), "clbit": 0}, "cond op needs a gate name"),
+        ({"kind": "cond", "name": "X", "targets": (0,)}, "cond op needs a clbit"),
+        ({"kind": "measure", "qubit": 0}, "measure op needs qubit and clbit"),
+        ({"kind": "measure", "clbit": 0}, "measure op needs qubit and clbit"),
+        ({"kind": "measure"}, "measure op needs qubit and clbit"),
+        # The gate's own checks come before a missing clbit.
+        ({"kind": "cond", "name": "NOPE", "targets": (0,)}, "unknown gate 'NOPE'"),
+        ({"kind": "cond", "name": "CNOT", "targets": (0,)}, "gate CNOT expects 2 targets, got 1"),
+    ],
+)
+def test_op_missing_field_messages(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CircuitOp(**fields)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qss.fileio import parse_circuit, parse_coupling
 from qss.routing import _reversed_cnot
 
 import oracles
-from test_states import random_op_sequence
+from test_states import GATE_POOL_1Q, random_op_sequence
 
 
 def line_graph():
@@ -360,6 +361,90 @@ def test_check_routing_flags_wrong_unitary(ibmqx4):
     )
     result = check_routing(c, report, ibmqx4)
     assert result.legal and not result.equivalent
+
+
+def _mutations(report, rng):
+    """Four broken copies of a routing whose logical circuit ends in CNOT then
+    a non-identity one-qubit gate: the last op dropped, the last CNOT's
+    wires swapped, two logical qubits' final wires swapped, and an extra T on
+    a final wire.  Each changes the map on the embedded logical basis."""
+    ops = report.circuit.ops
+    last_cnot = max(i for i, op in enumerate(ops) if op.name == "CNOT")
+    flipped = dataclasses.replace(ops[last_cnot], targets=ops[last_cnot].targets[::-1])
+    a, b = (int(q) for q in rng.choice(len(report.final_layout), 2, replace=False))
+    swapped = dict(report.final_layout)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    t_wire = report.final_layout[int(rng.integers(len(report.final_layout)))]
+    n, m = report.circuit.num_qubits, report.circuit.num_clbits
+    return {
+        "dropped op": dataclasses.replace(report, circuit=Circuit(n, m, ops[:-1])),
+        "flipped CNOT": dataclasses.replace(
+            report, circuit=Circuit(n, m, ops[:last_cnot] + (flipped,) + ops[last_cnot + 1 :])
+        ),
+        "swapped final layout": dataclasses.replace(report, final_layout=swapped),
+        "extra T": dataclasses.replace(report, circuit=Circuit(n, m, ops).gate("T", t_wire)),
+    }
+
+
+def test_check_routing_matches_the_frozen_dense_check(ibmqx4):
+    # Seeded routings on ibmqx4 and on random couplings, with and without an
+    # initial layout; then four mutations of each, which must all fail.
+    rng = np.random.default_rng(2023)
+    placed = 0
+    for trial in range(120):
+        g = ibmqx4 if trial % 2 else CouplingGraph(5, tuple(random_coupling(rng, 5)))
+        p = g.num_physical
+        n = int(rng.integers(2, p + 1))
+        ops = random_op_sequence(rng, n, int(rng.integers(0, 12)))
+        a, b = (int(q) for q in rng.choice(n, 2, replace=False))
+        ops += [("CNOT", (a, b)), (GATE_POOL_1Q[int(rng.integers(len(GATE_POOL_1Q)))], (int(rng.integers(n)),))]
+        c = Circuit(n, 0)
+        for name, targets in ops:
+            c.gate(name, *targets)
+        initial = None
+        if rng.random() < 0.5:
+            initial = QubitMapping(dict(enumerate(int(q) for q in rng.permutation(p)[:n])), p)
+            placed += 1
+        report = route(c, g, initial)
+        result = check_routing(c, report, g)
+        assert result.ok and (result.legal, result.equivalent, result.violations) == oracles.dense_routing_check(
+            c, report, g
+        ), (trial, ops)
+        for what, bad in _mutations(report, rng).items():
+            result = check_routing(c, bad, g)
+            assert not result.ok, (trial, what, ops)
+            assert (result.legal, result.equivalent, result.violations) == oracles.dense_routing_check(
+                c, bad, g
+            ), (trial, what, ops)
+    assert 30 <= placed <= 90
+
+
+@pytest.mark.parametrize("p", [6, 7, 8])
+def test_check_routing_on_devices_past_five_qubits(p, tmp_path, capsys):
+    # A one-way line of p qubits: the embedded basis check runs for every
+    # device that route accepts, and so does transpile --check.
+    from qss.cli import main
+    from qss.fileio import write_json
+
+    line = CouplingGraph(p, tuple((q, q + 1) for q in range(p - 1)))
+    rng = np.random.default_rng(p)
+    for _ in range(4):
+        n = int(rng.integers(2, p + 1))
+        ops = random_op_sequence(rng, n, 6) + [("CNOT", (n - 1, 0)), ("H", (0,))]
+        c = Circuit(n, 0)
+        for name, targets in ops:
+            c.gate(name, *targets)
+        report = route(c, line)
+        result = check_routing(c, report, line)
+        assert result.ok and oracles.dense_routing_check(c, report, line) == (True, True, ())
+        for what, bad in _mutations(report, rng).items():
+            assert not check_routing(c, bad, line).ok, what
+    write_json(str(tmp_path / "c2.json"), Circuit(2, 0).gate("CNOT", 0, 1).to_json())
+    write_json(str(tmp_path / "line.json"), line.to_json())
+    capsys.readouterr()
+    assert main(["transpile", str(tmp_path / "c2.json"), "--coupling", str(tmp_path / "line.json"), "--check"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["check"] == {"legal": True, "equivalent": True, "violations": []}
 
 
 def test_random_circuits_route_correctly(ibmqx4):

@@ -21,6 +21,7 @@ from qss import (
     unitary_of,
 )
 from qss.datasets import shipped_noise_model
+from qss.gates import ATOL_EVOLUTION
 from qss.simulate import _evolve, _op_draws, _pauli_tables, _qubit_state, _regroup, matrices_equal_up_to_phase
 import qss.simulate
 
@@ -427,6 +428,55 @@ def test_unitary_of_guards():
         unitary_of(Circuit(6, 0))
     with pytest.raises(SimulationError, match="gate-only"):
         unitary_of(Circuit(1, 1).measure(0, 0))
+
+
+def test_unitary_of_bytes_match_the_frozen_row_loop():
+    # Columns evolve by the same products, added in the same order, as the
+    # former loop's rows did, so every entry keeps its bytes.
+    rng = np.random.default_rng(2020)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        ops = random_op_sequence(rng, n, int(rng.integers(0, 31)))
+        c = Circuit(n, 0)
+        for name, targets in ops:
+            c.gate(name, *targets)
+        u, want = unitary_of(c), oracles.unitary_by_rows(c)
+        assert u.shape == want.shape and u.tobytes() == want.tobytes(), ops
+
+
+def test_matrices_equal_up_to_phase_decides_as_allclose():
+    rng = np.random.default_rng(2021)
+    cases = []
+    for _ in range(400):
+        shape = tuple(int(d) for d in rng.integers(1, 9, size=2))
+        b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # Differences from 1e-12 to 1e-3 straddle the bound of about 1e-5.
+        cases.append((np.exp(2j * np.pi * rng.random()) * b + 10.0 ** rng.uniform(-12, -3) * noise, b))
+    # With phase 1 and an entry of b at 0, that entry's bound is atol itself.
+    base = np.array([[1.0, 0.0]], dtype=complex)
+    at_bound = np.array([[1.0, ATOL_EVOLUTION]], dtype=complex)
+    past_bound = np.array([[1.0, np.nextafter(ATOL_EVOLUTION, 1.0)]], dtype=complex)
+    signed_zeros = np.array([[1.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]])
+    big = np.finfo(float).max
+    near_limit = [
+        (np.array([big * (0.9 + 0.9j)]), np.array([-1.0 + 0j])),
+        (np.array([big, 1.0 + 0j]), np.array([1.0 + 0j, 1.0])),
+        (np.array([1.0 + 0j, 1.0]), np.array([big + 0j, 1.0])),
+        (np.array([big + 0j, big]), np.array([-big + 0j, big])),
+    ]
+    cases += [(at_bound, base), (past_bound, base), (signed_zeros, signed_zeros.real), (-signed_zeros, signed_zeros)]
+    decided = []
+    for a, b in cases + near_limit:
+        with np.errstate(all="ignore"):
+            want = oracles.up_to_phase_by_allclose(a, b)
+        assert matrices_equal_up_to_phase(a, b) is want
+        decided.append(want)
+    assert 100 <= sum(decided[:400]) <= 300
+    assert matrices_equal_up_to_phase(at_bound, base) and not matrices_equal_up_to_phase(past_bound, base)
+    # Near the float limit each pair is rejected, and no warning is raised
+    # (the suite turns warnings into errors).
+    assert not any(matrices_equal_up_to_phase(a, b) for a, b in near_limit)
 
 
 def test_matrices_equal_up_to_phase():

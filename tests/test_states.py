@@ -8,8 +8,8 @@ import pytest
 
 from qss import DensityMatrix, StateVector, apply_gate, partial_trace
 from qss.fileio import SchemaError, parse_density_matrix
-from qss.gates import GATES, gate
-from qss.states import _gather_tables, apply_unitary
+from qss.gates import ATOL_EVOLUTION, GATES, gate
+from qss.states import _check_hermitian, _gather_tables, apply_unitary
 
 import oracles
 
@@ -240,6 +240,47 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="square"):
         DensityMatrix(np.zeros((2, 3), dtype=complex))
+
+
+def test_check_hermitian_decides_as_allclose():
+    rng = np.random.default_rng(2022)
+
+    def passes(m):
+        try:
+            _check_hermitian(m, "m")
+        except ValueError as exc:
+            assert str(exc) == "m must be Hermitian"
+            return False
+        return True
+
+    cases = []
+    for _ in range(400):
+        d = int(rng.choice([1, 2, 4, 8]))
+        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        # Differences from 1e-12 to 1e-3 straddle the bound of about 1e-5 |m|.
+        cases.append(oracles.random_density(rng, d) + 10.0 ** rng.uniform(-12, -3) * noise)
+    # An entry whose mirror is 0 has the bound atol itself.
+    at_bound = np.array([[0.5, ATOL_EVOLUTION], [0.0, 0.5]], dtype=complex)
+    past_bound = np.array([[0.5, np.nextafter(ATOL_EVOLUTION, 1.0)], [0.0, 0.5]], dtype=complex)
+    signed_zeros = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 0.5]])
+    big = np.finfo(float).max
+    near_limit = [
+        np.array([[0.5, big], [-big, 0.5]], dtype=complex),
+        np.array([[0.5, 1j * big], [1j * big, 0.5]]),
+        np.array([[big, 0.5 * big], [-0.5 * big, big]], dtype=complex),
+    ]
+    cases += [at_bound, past_bound, signed_zeros, -signed_zeros]
+    decided = []
+    for m in cases + near_limit:
+        with np.errstate(all="ignore"):
+            want = bool(np.allclose(m, m.conj().T, atol=ATOL_EVOLUTION))
+        assert passes(m) is want
+        decided.append(want)
+    assert 100 <= sum(decided[:400]) <= 300
+    assert passes(at_bound) and not passes(past_bound) and passes(signed_zeros)
+    # Near the float limit each matrix is rejected, and no warning is raised
+    # (the suite turns warnings into errors).
+    assert not any(passes(m) for m in near_limit)
 
 
 def test_density_matrix_allows_slightly_negative_eigenvalues():
