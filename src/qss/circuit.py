@@ -23,9 +23,8 @@ from .states import MAX_QUBITS
 # CircuitOp stays unset.
 _OP_FIELDS = {"gate": ("name", "targets"), "measure": ("qubit", "clbit"), "cond": ("name", "targets", "clbit")}
 VALID_KINDS = tuple(_OP_FIELDS)
-# Derived per kind: the fields it must leave unset, and the wires it must set.
+# The fields each kind must leave unset, derived from _OP_FIELDS.
 _UNSET = {k: tuple(f for f in ("name", "targets", "qubit", "clbit") if f not in fs) for k, fs in _OP_FIELDS.items()}
-_NEEDED_WIRES = {k: tuple(f for f in fs if f in ("qubit", "clbit")) for k, fs in _OP_FIELDS.items()}
 
 
 def _wire(v: object) -> int:
@@ -61,7 +60,7 @@ class CircuitOp:
         for name in _UNSET[self.kind]:
             if getattr(self, name) not in (None, ()):
                 raise ValueError(f"{self.kind} op takes no {name}")
-        if "name" in _OP_FIELDS[self.kind]:
+        if self.kind in ("gate", "cond"):
             if self.name is None:
                 raise ValueError(f"{self.kind} op needs a gate name")
             g = gate(self.name)
@@ -69,10 +68,10 @@ class CircuitOp:
                 raise ValueError(f"gate {self.name} expects {g.arity} targets, got {len(self.targets)}")
             if len(set(self.targets)) != len(self.targets):
                 raise ValueError(f"duplicate targets in {self.targets}")
-        wires = _NEEDED_WIRES[self.kind]
-        for w in wires:
-            if getattr(self, w) is None:
-                raise ValueError(f"{self.kind} op needs {f'a {w}' if len(wires) == 1 else ' and '.join(wires)}")
+            if self.kind == "cond" and self.clbit is None:
+                raise ValueError("cond op needs a clbit")
+        if self.kind == "measure" and (self.qubit is None or self.clbit is None):
+            raise ValueError("measure op needs qubit and clbit")
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}

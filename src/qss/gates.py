@@ -14,8 +14,18 @@ import numpy as np
 
 ATOL_STRUCTURAL = 1e-12
 ATOL_EVOLUTION = 1e-10
+# np.allclose's default relative tolerance, which _allclose keeps.
+_RTOL_EVOLUTION = 1e-5
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _allclose(a: np.ndarray, b: np.ndarray) -> bool:
+    """np.allclose(a, b, atol=ATOL_EVOLUTION) for finite b, without its
+    per-call overhead: |a - b| <= atol + rtol |b| in every entry.  A
+    difference that overflows to inf fails the test without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool((abs(a - b) <= ATOL_EVOLUTION + _RTOL_EVOLUTION * abs(b)).all())
 
 
 @dataclass(frozen=True)

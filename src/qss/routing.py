@@ -269,7 +269,9 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
 def _embedding(layout: dict[int, int], num_logical: int, num_physical: int) -> np.ndarray:
     """Isometry placing logical basis states on their physical wires."""
     codes = np.arange(2**num_logical)
-    p_codes = sum(((codes >> q) & 1) << layout[q] for q in range(num_logical))
+    p_codes = np.zeros_like(codes)
+    for q in range(num_logical):
+        p_codes |= ((codes >> q) & 1) << layout[q]
     e = np.zeros((2**num_physical, 2**num_logical), dtype=complex)
     e[p_codes, codes] = 1.0
     return e

@@ -27,7 +27,6 @@ branches come out in depth-first order.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -35,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .circuit import Circuit, CircuitOp, Counts, RunConfig, _key_clbit, _register_codes, _tally, bitstring
-from .gates import ATOL_EVOLUTION, PAULIS, gate
+from .gates import ATOL_EVOLUTION, PAULIS, _allclose, gate
 from .states import DensityMatrix, _gather_tables, _kept_first, apply_unitary
 
 if TYPE_CHECKING:
@@ -249,37 +248,26 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     for op in circuit.ops:
         if op.kind != "gate":
             raise SimulationError("unitary extraction requires a gate-only circuit")
-    return _unitary(circuit.ops, circuit.num_qubits)
+    return _unitary(circuit.ops, circuit.num_qubits).copy()
 
 
-def _unitary(ops: Sequence[CircuitOp], n: int, start: np.ndarray | None = None) -> np.ndarray:
+def _unitary(ops: tuple[CircuitOp, ...] | list[CircuitOp], n: int, start: np.ndarray | None = None) -> np.ndarray:
     """The gate ops applied in order to each column of `start`, the identity
-    on n qubits by default.  apply_unitary's gather, with states as columns:
-    each entry is the same products, added in the same order."""
-    cols = np.eye(2**n, dtype=complex) if start is None else start
+    on n qubits by default.  The columns go through apply_unitary as a batch
+    of rows, and a transposed view of the result is returned."""
+    rows = np.eye(2**n, dtype=complex) if start is None else start.T
     for op in ops:
-        m = gate(op.name).matrix
-        perm, coef = _gather_tables(m.tobytes(), m.shape, op.targets, n)
-        out = cols.take(perm[0], axis=0)
-        out *= coef[0][:, None]
-        for p, c in zip(perm[1:], coef[1:]):
-            term = cols.take(p, axis=0)
-            term *= c[:, None]
-            out += term
-        cols = out
-    return cols
+        rows = apply_unitary(rows, gate(op.name).matrix, op.targets, n)
+    return rows.T
 
 
 def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
     """True when a = exp(i phi) * b for a single global phase, to ATOL_EVOLUTION.
-
-    The entrywise test is np.allclose's own, |a - y| <= atol + 1e-5 |y| for
-    y = exp(i phi) b; entries near the float limit fail it without a warning."""
+    Entries near the float limit fail without a warning."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         overlap = np.vdot(b, a)
         if abs(overlap) < ATOL_EVOLUTION * np.vdot(b, b).real:
             return False
-        y = overlap / abs(overlap) * b
-        return bool((abs(a - y) <= ATOL_EVOLUTION + 1e-5 * abs(y)).all())
+        return _allclose(a, overlap / abs(overlap) * b)

@@ -419,6 +419,20 @@ def test_check_routing_matches_the_frozen_dense_check(ibmqx4):
     assert 30 <= placed <= 90
 
 
+@pytest.mark.parametrize("which", ["initial_layout", "final_layout"])
+def test_check_routing_rejects_a_layout_with_a_duplicate_wire(ibmqx4, which):
+    # A hand-built report can send two logical qubits to one wire.  The
+    # embedding then ORs their bits onto that wire, as the frozen check does,
+    # so the routing is rejected instead of indexing past the device.
+    c = Circuit(2, 0).gate("H", 0).gate("CNOT", 0, 1)
+    report = route(c, ibmqx4)
+    for layout in ({0: 3, 1: 3}, {0: 4, 1: 4}):
+        bad = dataclasses.replace(report, **{which: layout})
+        result = check_routing(c, bad, ibmqx4)
+        assert not result.equivalent
+        assert (result.legal, result.equivalent, result.violations) == oracles.dense_routing_check(c, bad, ibmqx4)
+
+
 @pytest.mark.parametrize("p", [6, 7, 8])
 def test_check_routing_on_devices_past_five_qubits(p, tmp_path, capsys):
     # A one-way line of p qubits: the embedded basis check runs for every
