@@ -21,7 +21,8 @@ every call and then deferred its measurements for the coherent form; the
 package now builds the ops after the secret's preparation once.
 unitary_by_rows is a frozen copy of the package's former unitary_of loop,
 which evolved the identity's rows through the package kernel and then
-transposed them; the package now evolves columns.  dense_routing_check is a
+transposed them; the package now runs that loop in a private helper that
+routing shares.  dense_routing_check is a
 frozen copy of the package's former check_routing, which compared two full
 dense unitaries between embeddings built in a Python double loop, by
 np.allclose (up_to_phase_by_allclose); the package now evolves only the

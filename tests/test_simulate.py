@@ -431,8 +431,8 @@ def test_unitary_of_guards():
 
 
 def test_unitary_of_bytes_match_the_frozen_row_loop():
-    # Columns evolve by the same products, added in the same order, as the
-    # former loop's rows did, so every entry keeps its bytes.
+    # unitary_of now goes through the helper that the routing check shares;
+    # it must still return a C-ordered copy with the former loop's bytes.
     rng = np.random.default_rng(2020)
     for _ in range(300):
         n = int(rng.integers(1, 6))
@@ -441,7 +441,7 @@ def test_unitary_of_bytes_match_the_frozen_row_loop():
         for name, targets in ops:
             c.gate(name, *targets)
         u, want = unitary_of(c), oracles.unitary_by_rows(c)
-        assert u.shape == want.shape and u.tobytes() == want.tobytes(), ops
+        assert u.flags.c_contiguous and u.shape == want.shape and u.tobytes() == want.tobytes(), ops
 
 
 def test_matrices_equal_up_to_phase_decides_as_allclose():
