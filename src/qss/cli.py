@@ -16,6 +16,7 @@ from . import datasets
 from .fidelity import fidelity
 from .fileio import (
     SchemaError,
+    _reported_at,
     atomic_write_text,
     dump_csv,
     dump_json,
@@ -60,11 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the protocol and report receiver statistics")
     _add_common(p)
     p.add_argument("--mode", choices=MODES, default="sampled")
+    p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("tomo", help="tomograph the receiver qubit")
     _add_common(p)
     p.add_argument("--mode", choices=("coherent", "sampled"), default="coherent", help="base circuit form")
     p.add_argument("--reference", metavar="FILE", help="density matrix JSON to score fidelity against")
+    p.set_defaults(handler=cmd_tomo)
 
     p = sub.add_parser("transpile", help="route a circuit file onto a coupling map")
     p.add_argument("circuit", metavar="CIRCUIT")
@@ -72,12 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", metavar="L:P,...", help="initial logical:physical placement")
     p.add_argument("--check", action="store_true", help="verify legality and equivalence")
     p.add_argument("--out", metavar="PATH")
+    p.set_defaults(handler=cmd_transpile)
 
     p = sub.add_parser("fidelity", help="Uhlmann fidelity between two density-matrix files")
     p.add_argument("rho_t", metavar="A")
     p.add_argument("rho_e", metavar="B")
     p.add_argument("--compare", type=float, metavar="F", help="also print the delta to this value")
     p.add_argument("--out", metavar="PATH")
+    p.set_defaults(handler=cmd_fidelity)
 
     p = sub.add_parser("calibrate", help="fit depolarizing strength to a target receiver P(0)")
     p.add_argument("--target", type=float, default=None, help="target P(0) (default: bundled hardware value)")
@@ -87,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--receiver", choices=RECEIVERS, default="charlie")
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--strict", action="store_true")
+    p.set_defaults(handler=cmd_calibrate)
 
     return parser
 
@@ -187,10 +193,8 @@ def _parse_layout(spec: str, num_physical: int) -> QubitMapping:
             l2p[int(logical)] = int(physical)
         except ValueError as exc:
             raise SchemaError("--layout", f"bad entry {item!r}, expected L:P") from exc
-    try:
+    with _reported_at("--layout"):
         return QubitMapping(l2p, num_physical)
-    except ValueError as exc:
-        raise SchemaError("--layout", str(exc)) from exc
 
 
 def cmd_transpile(args: argparse.Namespace) -> int:
@@ -260,15 +264,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    handlers = {
-        "run": cmd_run,
-        "tomo": cmd_tomo,
-        "transpile": cmd_transpile,
-        "fidelity": cmd_fidelity,
-        "calibrate": cmd_calibrate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (SimulationError, OSError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,17 +3,15 @@ shipped noise calibration."""
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
-from .fileio import parse_coupling, parse_noise
+from .fileio import parse_coupling, parse_noise, read_json
 from .noise import NoiseModel
 from .routing import CouplingGraph
 
 
 def _load(name: str) -> dict:
-    with resources.files("qss.data").joinpath(name).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(data_file_path(name))
 
 
 def data_file_path(name: str) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -66,6 +67,15 @@ def dump_csv(rows: list[tuple], header: tuple[str, ...]) -> str:
     for row in rows:
         lines.append(",".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+@contextmanager
+def _reported_at(path: str):
+    """Report a constructor's ValueError as a SchemaError at path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 def _require(obj: dict, key: str, path: str) -> object:
@@ -130,25 +140,19 @@ def _parse_op(obj: object, path: str) -> CircuitOp:
     if kind not in VALID_KINDS:
         raise SchemaError(path, f"unknown op kind {kind!r}")
     fields = {name: _OP_FIELD_READERS[name](obj, name, path) for name in _OP_FIELDS[kind]}
-    try:
+    with _reported_at(path):
         return CircuitOp(kind=kind, **fields)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
 
 
 def parse_circuit(obj: object, path: str = "$") -> Circuit:
     qubits = _require_int(obj, "qubits", path)
     clbits = _require_int(obj, "clbits", path)
     ops = _require_list(obj, "ops", path)
-    try:
+    with _reported_at(path):
         circuit = Circuit(qubits, clbits)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
     parsed = [_parse_op(op, f"{path}.ops[{i}]") for i, op in enumerate(ops)]
-    try:
+    with _reported_at(f"{path}.ops"):
         return circuit.extend(parsed)
-    except ValueError as exc:
-        raise SchemaError(f"{path}.ops", str(exc)) from exc
 
 
 def parse_coupling(obj: object, path: str = "$") -> CouplingGraph:
@@ -159,10 +163,8 @@ def parse_coupling(obj: object, path: str = "$") -> CouplingGraph:
         if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
             raise SchemaError(f"{path}.edges[{i}]", f"expected a [control, target] pair, got {e!r}")
         pairs.append((e[0], e[1]))
-    try:
+    with _reported_at(f"{path}.edges"):
         return CouplingGraph(qubits, tuple(pairs))
-    except ValueError as exc:
-        raise SchemaError(f"{path}.edges", str(exc)) from exc
 
 
 def parse_density_matrix(obj: object, path: str = "$") -> DensityMatrix:
@@ -176,17 +178,13 @@ def parse_density_matrix(obj: object, path: str = "$") -> DensityMatrix:
     if any(len(rows) != dim or any(len(row) != dim for row in rows) for rows in parts):
         raise SchemaError(path, f"re/im shape does not match dim {dim}")
     re, im = (np.array(rows, dtype=float) for rows in parts)
-    try:
+    with _reported_at(path):
         return DensityMatrix(re + 1j * im)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
 
 
 def parse_noise(obj: object, path: str = "$") -> NoiseModel:
     p1 = _require_number(obj, "p1", path)
     p2 = _require_number(obj, "p2", path)
     p_read = _require_number(obj, "p_read", path)
-    try:
+    with _reported_at(path):
         return NoiseModel(p1, p2, p_read)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc

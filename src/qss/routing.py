@@ -87,7 +87,6 @@ class QubitMapping:
                 raise ValueError(f"bad logical qubit {q}")
         self.num_physical = num_physical
         self.l2p = l2p
-        self.p2l = {p: q for q, p in l2p.items()}
 
     @classmethod
     def identity(cls, num_logical: int, num_physical: int) -> "QubitMapping":
@@ -98,12 +97,8 @@ class QubitMapping:
 
     def swap_physical(self, pa: int, pb: int) -> None:
         """Record that a SWAP exchanged two physical wires."""
-        la, lb = self.p2l.get(pa), self.p2l.get(pb)
-        if la is not None:
-            self.l2p[la] = pb
-        if lb is not None:
-            self.l2p[lb] = pa
-        self.p2l = {p: q for q, p in self.l2p.items()}
+        swapped = {pa: pb, pb: pa}
+        self.l2p = {q: swapped.get(p, p) for q, p in self.l2p.items()}
 
     def copy(self) -> "QubitMapping":
         return QubitMapping(dict(self.l2p), self.num_physical)
@@ -190,6 +185,15 @@ def _path_cost(graph: CouplingGraph, path: list[int], name: str) -> int:
     return cost
 
 
+def _placed(l2p: dict[int, int], num_logical: int, num_physical: int) -> QubitMapping:
+    """A new QubitMapping of l2p that places every logical qubit below num_logical."""
+    mapping = QubitMapping(l2p, num_physical)
+    for q in range(num_logical):
+        if q not in mapping.l2p:
+            raise ValueError(f"initial mapping does not place logical qubit {q}")
+    return mapping
+
+
 def _require_terminal_measures(circuit: Circuit) -> None:
     tail = False
     for op in circuit.ops:
@@ -214,10 +218,7 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
     elif initial.num_physical != graph.num_physical:
         raise ValueError(f"initial mapping covers {initial.num_physical} physical qubits, device has {graph.num_physical}")
     else:
-        mapping = initial.copy()
-        for q in range(circuit.num_qubits):
-            if q not in mapping.l2p:
-                raise ValueError(f"initial mapping does not place logical qubit {q}")
+        mapping = _placed(initial.l2p, circuit.num_qubits, graph.num_physical)
 
     initial_layout = dict(mapping.l2p)
     emitted: list[CircuitOp] = []
@@ -288,19 +289,33 @@ class RoutingCheck:
         return self.legal and self.equivalent
 
 
+def _equivalent(original: Circuit, report: TranspileReport) -> bool:
+    n, p, routed = original.num_qubits, report.circuit.num_qubits, report.circuit.ops
+    try:
+        initial, final = (_placed(layout, n, p).l2p for layout in (report.initial_layout, report.final_layout))
+    except ValueError:
+        return False
+    measures = [replace(op, qubit=final[op.qubit]) for op in original.ops if op.kind == "measure"]
+    if [op for op in routed if op.kind == "measure"] != measures:
+        return False
+    u_orig = _unitary([op for op in original.ops if op.kind != "measure"], n)
+    evolved = _unitary([op for op in routed if op.kind != "measure"], p, _embedding(initial, n, p))
+    return matrices_equal_up_to_phase(evolved, _embedding(final, n, p) @ u_orig)
+
+
 def check_routing(original: Circuit, report: TranspileReport, graph: CouplingGraph) -> RoutingCheck:
-    """Confirm edge legality and unitary equivalence of a routing result.
+    """Confirm edge legality and equivalence of a routing result.
 
     Legality inspects every two-qubit op in the routed circuit.  Equivalence
-    compares the gate-only parts on the logical basis: the routed gates
-    applied to each column of the initial embedding must give the final
-    embedding composed with the original's unitary, up to one global phase
-    and within ATOL_EVOLUTION.  Only those 2**n columns are evolved, so any
-    device that route accepts can be checked.
+    needs both layouts to pass route's rule for an initial mapping, and the
+    routed measurements, in order, to be the original's moved by the final
+    layout.  The other ops, each cond as if it fired, must take each column
+    of the initial embedding to the final embedding composed with the
+    original's unitary, up to one global phase and within ATOL_EVOLUTION.
+    Only those 2**n columns are evolved, so any device route accepts works.
     """
-    routed = report.circuit
     violations = []
-    for i, op in enumerate(routed.ops):
+    for i, op in enumerate(report.circuit.ops):
         if len(op.targets) != 2:
             continue
         c, t = op.targets
@@ -309,10 +324,4 @@ def check_routing(original: Circuit, report: TranspileReport, graph: CouplingGra
                 violations.append(f"op {i}: {op.name} on non-adjacent ({c}, {t})")
         elif not graph.allows(c, t):
             violations.append(f"op {i}: CNOT against edge direction ({c}, {t})")
-
-    n, num_physical = original.num_qubits, routed.num_qubits
-    u_orig = _unitary([op for op in original.ops if op.kind == "gate"], n)
-    e_init = _embedding(report.initial_layout, n, num_physical)
-    evolved = _unitary([op for op in routed.ops if op.kind == "gate"], num_physical, e_init)
-    equivalent = matrices_equal_up_to_phase(evolved, _embedding(report.final_layout, n, num_physical) @ u_orig)
-    return RoutingCheck(legal=not violations, equivalent=equivalent, violations=tuple(violations))
+    return RoutingCheck(legal=not violations, equivalent=_equivalent(original, report), violations=tuple(violations))

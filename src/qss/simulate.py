@@ -40,7 +40,6 @@ from .states import DensityMatrix, _gather_tables, _kept_first, apply_unitary
 if TYPE_CHECKING:
     from .noise import NoiseModel
 
-MAX_UNITARY_QUBITS = 5
 MAX_BRANCHES = 2**16
 _BRANCH_EPS = 1e-14
 _CHUNK_AMPS = 2**19
@@ -242,9 +241,7 @@ def _qubit_state(circuit: Circuit, qubit: int) -> DensityMatrix:
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a gate-only circuit on at most 5 qubits."""
-    if circuit.num_qubits > MAX_UNITARY_QUBITS:
-        raise SimulationError(f"unitary extraction is limited to {MAX_UNITARY_QUBITS} qubits")
+    """Dense unitary of a gate-only circuit."""
     for op in circuit.ops:
         if op.kind != "gate":
             raise SimulationError("unitary extraction requires a gate-only circuit")

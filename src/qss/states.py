@@ -141,12 +141,12 @@ def apply_gate(state: StateVector, g: GateMatrix | str, targets: tuple[int, ...]
 
 
 def _check_hermitian(m: np.ndarray, what: str) -> None:
-    """Raise ValueError unless the square matrix m is finite and equals its
-    conjugate transpose to ATOL_EVOLUTION.  Entries near the float limit can
-    overflow the difference to inf, which simply fails the test, so numpy's
-    overflow warning is not raised."""
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} must be finite")
+    """Raise ValueError unless every entry of the square matrix m has a finite
+    modulus and m equals its conjugate transpose to ATOL_EVOLUTION.  Overflow
+    near the float limit fails a check, without numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(abs(m)).all():
+            raise ValueError(f"{what} must be finite")
     if not _allclose(m, m.conj().T):
         raise ValueError(f"{what} must be Hermitian")
 

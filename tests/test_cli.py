@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qss import DensityMatrix, ProtocolConfig, assemble_circuit, datasets
+from qss import Circuit, DensityMatrix, ProtocolConfig, assemble_circuit, datasets
 from qss.cli import COUPLING_ENV, main
 from qss.fileio import write_json
 
@@ -300,3 +300,60 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert run_cli("run", "--mode", "sideways") == 2
     capsys.readouterr()
+
+
+# ValueErrors that a valid command line with schema-valid files can reach.
+# Each names an input the user can fix, so each is a usage error: exit 2,
+# nothing on stdout, one error line on stderr.
+INPUT_ERRORS = {
+    "transpile-disconnected-coupling": (
+        ["transpile", "{tmp}/far.json", "--coupling", "{tmp}/disconnected.json"],
+        "qubits 0 and 2 are not connected",
+    ),
+    "transpile-too-many-qubits": (["transpile", "{tmp}/six.json"], "circuit needs 6 qubits, device has 5"),
+    "transpile-gate-after-measure": (["transpile", "{tmp}/mid.json"], "measurements must be terminal for routing"),
+    "transpile-layout-past-device": (
+        ["transpile", "{tmp}/pair.json", "--layout", "0:9"],
+        "--layout: physical qubit 9 out of range",
+    ),
+    "fidelity-negative-eigenvalue": (
+        ["fidelity", "{tmp}/negative.json", "{tmp}/half.json"],
+        "eigenvalue -5.000e-01 below -1e-09; matrix is not positive semidefinite",
+    ),
+    "fidelity-dimension-mismatch": (
+        ["fidelity", "{tmp}/four.json", "{tmp}/half.json"],
+        "dimension mismatch: (4, 4) vs (2, 2)",
+    ),
+    "tomo-reference-dimension": (["tomo", "--reference", "{tmp}/four.json"], "dimension mismatch: (2, 2) vs (4, 4)"),
+    "run-negative-shots": (["run", "--shots", "-1"], "sampled mode needs shots >= 1"),
+    "calibrate-p-read-past-one": (["calibrate", "--p-read", "1.5"], "p_read = 1.5 lies outside [0, 1]"),
+    "calibrate-too-few-shots": (
+        ["calibrate", "--shots", "100"],
+        "calibration needs at least 20000 shots per evaluation",
+    ),
+    "fidelity-modulus-overflow": (
+        ["fidelity", "{tmp}/overflow.json", "{tmp}/half.json"],
+        "$: density matrix must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
+def test_input_errors_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(COUPLING_ENV, raising=False)
+    big = 1.6e308
+    files = {
+        "disconnected": {"qubits": 4, "edges": [[0, 1], [2, 3]]},
+        "far": Circuit(4, 0).gate("CNOT", 0, 2).to_json(),
+        "six": Circuit(6, 0).gate("H", 0).to_json(),
+        "mid": Circuit(2, 1).measure(0, 0).gate("H", 0).to_json(),
+        "pair": Circuit(2, 0).gate("CNOT", 0, 1).to_json(),
+        # Each part is finite, but |h| overflows to inf.
+        "overflow": {"dim": 2, "re": [[0.5, big], [big, 0.5]], "im": [[0, big], [big, 0]]},
+    }
+    for name, obj in files.items():
+        write_json(str(tmp_path / f"{name}.json"), obj)
+    for name, matrix in (("negative", np.diag([1.5, -0.5])), ("half", np.eye(2) / 2), ("four", np.eye(4) / 4)):
+        rho_file(tmp_path, f"{name}.json", matrix)
+    assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -180,7 +180,7 @@ def test_routing_types_store_numpy_wires_as_plain_ints():
     assert g.allows(0, 1) and g.allows(1, 2)
     m = QubitMapping({np.int64(0): np.int32(2), 1: np.uint8(0)}, np.int64(3))
     assert m == QubitMapping({0: 2, 1: 0}, 3)
-    assert [type(w) for w in (m.num_physical, *m.l2p, *m.l2p.values(), *m.p2l)] == [int] * 7
+    assert [type(w) for w in (m.num_physical, *m.l2p, *m.l2p.values())] == [int] * 5
 
 
 def test_reverse_control_sequence_and_unitary():
@@ -421,9 +421,12 @@ def test_check_routing_matches_the_frozen_dense_check(ibmqx4):
 
 @pytest.mark.parametrize("which", ["initial_layout", "final_layout"])
 def test_check_routing_rejects_a_layout_with_a_duplicate_wire(ibmqx4, which):
-    # A hand-built report can send two logical qubits to one wire.  The
-    # embedding then ORs their bits onto that wire, as the frozen check does,
-    # so the routing is rejected instead of indexing past the device.
+    # A hand-built report can send two logical qubits to one wire, send one
+    # past the device, or leave one out.  Each layout must pass the rule
+    # route applies to an initial mapping, so each is rejected instead of
+    # indexing past the device or raising KeyError.  The frozen check ORs a
+    # repeated wire's bits and also rejects it; it indexes past the device
+    # on the other two, so those are compared with the correct routing only.
     c = Circuit(2, 0).gate("H", 0).gate("CNOT", 0, 1)
     report = route(c, ibmqx4)
     for layout in ({0: 3, 1: 3}, {0: 4, 1: 4}):
@@ -431,6 +434,50 @@ def test_check_routing_rejects_a_layout_with_a_duplicate_wire(ibmqx4, which):
         result = check_routing(c, bad, ibmqx4)
         assert not result.equivalent
         assert (result.legal, result.equivalent, result.violations) == oracles.dense_routing_check(c, bad, ibmqx4)
+    for layout in ({0: 7, 1: 1}, {0: 0}):
+        result = check_routing(c, dataclasses.replace(report, **{which: layout}), ibmqx4)
+        assert (result.legal, result.equivalent, result.violations) == (True, False, ())
+    assert check_routing(c, report, ibmqx4).ok
+
+
+def test_check_routing_checks_measurements_and_conds(ibmqx4):
+    # Seeded routings of circuits that end in measurements and conditioned
+    # gates.  Moving one routed measurement, or one routed one-qubit cond to
+    # another wire that holds a logical qubit, changes the outcome, so each
+    # mutation is rejected; the correct routing passes.
+    rng = np.random.default_rng(2024)
+    moved_conds = 0
+    for trial in range(60):
+        g = ibmqx4 if trial % 2 else CouplingGraph(5, tuple(random_coupling(rng, 5)))
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, n + 1))
+        c = Circuit(n, m)
+        for name, targets in random_op_sequence(rng, n, int(rng.integers(0, 10))):
+            c.gate(name, *targets)
+        layout = route(c, g).final_layout
+        for clbit in range(m):
+            c.measure(int(rng.integers(n)), clbit)
+            a, b = (int(q) for q in rng.choice(n, 2, replace=False))
+            if rng.random() < 0.5:
+                c.cond(GATE_POOL_1Q[int(rng.integers(len(GATE_POOL_1Q)))], (a,), clbit)
+            elif g.has_link(layout[a], layout[b]):
+                c.cond(("CNOT", "CZ")[int(rng.integers(2))], (a, b), clbit)
+        report = route(c, g)
+        assert check_routing(c, report, g).ok, trial
+        ops, used = report.circuit.ops, sorted(report.final_layout.values())
+        i = int(rng.choice([i for i, op in enumerate(ops) if op.kind == "measure"]))
+        wire = int(rng.choice([q for q in range(g.num_physical) if q != ops[i].qubit]))
+        mutants = [ops[:i] + (dataclasses.replace(ops[i], qubit=wire),) + ops[i + 1 :]]
+        conds = [i for i, op in enumerate(ops) if op.kind == "cond" and len(op.targets) == 1]
+        if conds:
+            i = int(rng.choice(conds))
+            wire = int(rng.choice([q for q in used if q != ops[i].targets[0]]))
+            mutants.append(ops[:i] + (dataclasses.replace(ops[i], targets=(wire,)),) + ops[i + 1 :])
+            moved_conds += 1
+        for bad in mutants:
+            result = check_routing(c, dataclasses.replace(report, circuit=Circuit(g.num_physical, m, bad)), g)
+            assert result.legal and not result.equivalent, (trial, bad)
+    assert moved_conds >= 20
 
 
 @pytest.mark.parametrize("p", [6, 7, 8])

@@ -424,8 +424,15 @@ def test_unitary_of_matches_oracle():
 
 
 def test_unitary_of_guards():
-    with pytest.raises(SimulationError, match="limited"):
-        unitary_of(Circuit(6, 0))
+    # Circuit's own qubit limit is the only one: 6 to 8 qubits have a
+    # unitary too.
+    rng = np.random.default_rng(42)
+    for n in (6, 7, 8):
+        ops = random_op_sequence(rng, n, 20)
+        c = Circuit(n, 0)
+        for name, targets in ops:
+            c.gate(name, *targets)
+        np.testing.assert_allclose(unitary_of(c), oracles.unitary(ops, n), atol=1e-12)
     with pytest.raises(SimulationError, match="gate-only"):
         unitary_of(Circuit(1, 1).measure(0, 0))
 

@@ -283,6 +283,17 @@ def test_check_hermitian_decides_as_allclose():
     assert not any(passes(m) for m in near_limit)
 
 
+def test_check_hermitian_rejects_an_entry_whose_modulus_overflows():
+    # Both parts of h are finite, but |h| overflows to inf, so np.allclose's
+    # bound atol + rtol |h| is inf and passes this non-Hermitian matrix.
+    h = complex(1.6e308, 1.6e308)
+    m = np.array([[0.5, h], [h, 0.5]])
+    with pytest.raises(ValueError, match="^m must be finite$"):
+        _check_hermitian(m, "m")
+    with pytest.raises(ValueError, match="must be finite"):
+        DensityMatrix(m)
+
+
 def test_density_matrix_allows_slightly_negative_eigenvalues():
     # tomography output can be unphysical; construction succeeds and the
     # flag reports it
