@@ -100,9 +100,6 @@ class QubitMapping:
         swapped = {pa: pb, pb: pa}
         self.l2p = {q: swapped.get(p, p) for q, p in self.l2p.items()}
 
-    def copy(self) -> "QubitMapping":
-        return QubitMapping(dict(self.l2p), self.num_physical)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QubitMapping):
             return NotImplemented

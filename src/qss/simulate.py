@@ -15,9 +15,13 @@ run.  A Pauli hit moves only the shots it hits into new groups keyed by
 recorded bit).  Both regroupings rank keys densely instead of sorting them,
 and a Pauli hit is an index gather with a phase, not a dense kernel.
 
-A batch holds at most _CHUNK_AMPS amplitudes of state capacity (one row per
-shot) and at most _CHUNK_AMPS uniform draws, or one shot if a single shot
-exceeds either.  Each batch joins a tally of the register values seen, so
+A run that fits one batch of at most _CHUNK_AMPS amplitudes of state
+capacity (one row per shot) and _CHUNK_AMPS uniform draws is drawn and
+evolved in one go.  A longer run goes in batches of half as many draws, and
+two draw buffers take turns: a worker thread fills the next batch's rows
+from the same generator while the current batch evolves, so at most
+_CHUNK_AMPS draws are held at once (or two shots' worth, if a single shot
+exceeds that).  Each batch joins a tally of the register values seen, so
 peak memory is O(_CHUNK_AMPS) plus that tally, whatever the shot count.
 
 Exact runs weight each group by its probability instead: a measurement
@@ -27,6 +31,7 @@ branches come out in depth-first order.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -181,27 +186,69 @@ def _evolve(
     return states[:g], creg[:g], prob if u is None else group
 
 
+def _fill(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill `out` with the generator's next uniforms, row after row."""
+    rng.random(out=out)
+
+
+class _Drawer(threading.Thread):
+    """A worker thread, started on creation, that fills `out` through
+    _fill; after join, `error` holds what the fill raised, if anything."""
+
+    def __init__(self, rng: np.random.Generator, out: np.ndarray):
+        super().__init__()
+        self.rng, self.out, self.error = rng, out, None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            _fill(self.rng, self.out)
+        except BaseException as exc:
+            self.error = exc
+
+
 def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" = None) -> Counts:
     """Sample a circuit's shots and tally classical register values.
 
-    Shots are processed in batches of _CHUNK_AMPS // max(2**n, draw
-    columns) shots, at least one, and each batch is tallied by distinct
-    register value as it finishes; measurement collapse uses the true
-    outcome while the recorded bit may be flipped by readout error.
+    A run of at most _CHUNK_AMPS // max(2**n, draw columns) shots, or of one
+    shot, is one batch.  A longer run goes in batches of _CHUNK_AMPS //
+    max(2**n, 2 * draw columns) shots, at least one, and a worker thread
+    draws the next batch while this one evolves.  Each batch is tallied by
+    distinct register value as it finishes; measurement collapse uses the
+    true outcome while the recorded bit may be flipped by readout error.
     """
-    ncols = sum(_op_draws(op, noise)[1] for op in circuit.ops)
+    ncols = max(1, sum(_op_draws(op, noise)[1] for op in circuit.ops))
+    amps = 2**circuit.num_qubits
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-
     codes, tally = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    rows = max(1, _CHUNK_AMPS // max(2**circuit.num_qubits, ncols))
-    for start in range(0, cfg.shots, rows):
-        # Philox fills rows in order, so drawing per batch gives the same
-        # numbers as one shots x columns draw.  Neither a batch's draws nor
-        # its states buffer is held while the next batch runs.
-        stop = min(start + rows, cfg.shots)
-        creg, group = _evolve(circuit, rng.random((stop - start, max(ncols, 1))), noise)[1:]
+
+    def add(u: np.ndarray) -> None:
+        nonlocal codes, tally
+        creg, group = _evolve(circuit, u, noise)[1:]
         held = np.bincount(group, minlength=len(creg))
         codes, tally = _tally(np.concatenate((codes, _register_codes(creg))), np.concatenate((tally, held)))
+
+    rows = cfg.shots
+    if rows > max(1, _CHUNK_AMPS // max(amps, ncols)):
+        rows = max(1, _CHUNK_AMPS // max(amps, 2 * ncols))
+    # Philox fills rows in order and only one thread draws at a time, so
+    # every shot gets the uniforms of one shots x columns draw.  The two
+    # buffers of a longer run take turns: the worker fills one while the
+    # other is evolved.
+    buffers = np.empty((1 + (rows < cfg.shots), rows, ncols))
+    u = buffers[0]
+    _fill(rng, u)
+    for start in range(rows, cfg.shots, rows):
+        following = buffers[start // rows % 2, : cfg.shots - start]
+        drawer = _Drawer(rng, following)
+        try:
+            add(u)
+        finally:
+            drawer.join()
+        if drawer.error is not None:
+            raise drawer.error
+        u = following
+    add(u)
     return Counts._from_tally(codes, tally, circuit.num_clbits)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ def calibration_circuit(receiver: str = "charlie") -> Circuit:
     c = Circuit(base.num_qubits, 1, list(base.ops))
     c.measure(cfg.receiver_wire, 0)
     return c
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves more live threads than it started with, such
+    as a sampled run's draw worker that was never joined."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    assert not leaked, f"threads left running: {leaked}"
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
 """Shot sampler, exact branch enumeration, and unitary extraction."""
 
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -116,28 +119,101 @@ def noisy_chain(num_qubits: int, length: int) -> Circuit:
     return c
 
 
+DRAW_BOUND = noisy_chain(2, 3), NoiseModel(0.2, 0.2, 0.1)
+
+
 @pytest.mark.parametrize(
-    "circuit, noise, chunk, rows",
+    "circuit, noise, chunk, sizes",
     [
         # 2 qubits, 3 noisy gates per qubit and 2 readout measurements:
         # 16 draw columns against 4 amplitudes, so the draws set the batch.
-        (noisy_chain(2, 3), NoiseModel(0.2, 0.2, 0.1), 2**7, 2**7 // 16),
-        # no measurement and no noise: no draw columns, amplitudes only
-        (Circuit(3, 2).gate("H", 0).gate("CNOT", 0, 2), None, 2**6, 2**6 // 8),
+        # One batch would take 2**7 // 16 = 8 shots, fewer than 45, so the
+        # run goes in batches of 2**7 // (2 * 16) = 4.
+        (*DRAW_BOUND, 2**7, [4] * 11 + [1]),
+        # 45 shots x 16 columns fit one batch exactly
+        (*DRAW_BOUND, 45 * 16, [45]),
+        # one draw short of that: batches of (45 * 16 - 1) // 32 = 22
+        (*DRAW_BOUND, 45 * 16 - 1, [22, 22, 1]),
+        # no measurement and no noise: one draw column, amplitudes only
+        (Circuit(3, 2).gate("H", 0).gate("CNOT", 0, 2), None, 2**6, [8] * 5 + [5]),
         # fewer amplitudes per batch than one shot's 16: one shot per batch
-        (noisy_chain(4, 1), shipped_noise_model(), 2**3, 1),
+        (noisy_chain(4, 1), shipped_noise_model(), 2**3, [1] * 45),
     ],
-    ids=["draw-bound", "no-draws", "one-row"],
+    ids=["draw-bound", "fits-one-batch", "one-draw-short", "no-draws", "one-row"],
 )
-def test_batch_rule_keeps_counts(circuit, noise, chunk, rows, monkeypatch):
+def test_batch_rule_keeps_counts(circuit, noise, chunk, sizes, monkeypatch):
     cfg = RunConfig(shots=45, seed=12)
     expected = oracles.trajectory_counts(circuit, noise, shots=cfg.shots, seed=cfg.seed)
     assert simulate_shots(circuit, cfg, noise=noise).counts == expected
-    sizes = record_batches(monkeypatch)
+    recorded = record_batches(monkeypatch)
     monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", chunk)
     assert simulate_shots(circuit, cfg, noise=noise).counts == expected
-    full, rest = divmod(cfg.shots, rows)
-    assert sizes == [rows] * full + ([rest] if rest else [])
+    assert recorded == sizes
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def fail_on_call(monkeypatch, name: str, call: int) -> None:
+    """Patch qss.simulate.<name> to raise Boom on its call-th call, from 0."""
+    real, calls = getattr(qss.simulate, name), []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 == call:
+            raise Boom(f"{name} call {call}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qss.simulate, name, patched)
+
+
+@pytest.mark.parametrize("name, call", [("_fill", 1), ("_fill", 2), ("_evolve", 0), ("_evolve", 1), ("_evolve", 2)])
+def test_a_failing_batch_raises_and_leaves_no_thread(name, call, monkeypatch):
+    # three batches of 4 shots: _fill runs on the caller for batch 0 and on
+    # a worker for batches 1 and 2, each while the batch before evolves
+    circuit, noise = DRAW_BOUND
+    monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**7)
+    before = threading.active_count()
+    fail_on_call(monkeypatch, name, call)
+    with pytest.raises(Boom, match=f"{name} call {call}"):
+        simulate_shots(circuit, RunConfig(shots=12, seed=3), noise=noise)
+    assert threading.active_count() == before
+
+
+def test_concurrent_pipelined_runs_keep_their_counts(monkeypatch):
+    # four callers, each with its own draw worker, on a 2**-20 s switch
+    # interval.  Each fill sleeps first, so a batch evolved before its fill
+    # finished, a draw taken out of order or one into the wrong buffer
+    # changes a run's counts.
+    circuit, noise = DRAW_BOUND
+    monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**7)
+    fill = qss.simulate._fill
+
+    def slow_fill(rng, out):
+        time.sleep(0.001)
+        fill(rng, out)
+
+    monkeypatch.setattr(qss.simulate, "_fill", slow_fill)
+    cfgs = [RunConfig(shots=200, seed=seed) for seed in range(4)]
+    expected = [oracles.trajectory_counts(circuit, noise, shots=c.shots, seed=c.seed) for c in cfgs]
+    results = [None] * len(cfgs)
+
+    def run(i):
+        results[i] = simulate_shots(circuit, cfgs[i], noise=noise).counts
+
+    callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(2**-20)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == expected
 
 
 def test_from_codes_matches_the_batch_tally(monkeypatch):
