@@ -9,7 +9,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import datasets
@@ -41,8 +40,6 @@ from .routing import QubitMapping, check_routing, route
 from .simulate import SimulationError
 from .tomography import BASES, TomographyJob, measurement_variant, run_tomography
 
-COUPLING_ENV = "QSS_DEFAULT_COUPLING"
-
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="run seed (defaults to 0)")
@@ -71,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transpile", help="route a circuit file onto a coupling map")
     p.add_argument("circuit", metavar="CIRCUIT")
-    p.add_argument("--coupling", metavar="FILE", help=f"coupling JSON (default: ${COUPLING_ENV} or bundled ibmqx4)")
+    p.add_argument("--coupling", metavar="FILE", help="coupling JSON (default: bundled ibmqx4)")
     p.add_argument("--layout", metavar="L:P,...", help="initial logical:physical placement")
     p.add_argument("--check", action="store_true", help="verify legality and equivalence")
     p.add_argument("--out", metavar="PATH")
@@ -199,7 +196,7 @@ def _parse_layout(spec: str, num_physical: int) -> QubitMapping:
 
 def cmd_transpile(args: argparse.Namespace) -> int:
     circuit = parse_circuit(read_json(args.circuit))
-    coupling_file = args.coupling or os.environ.get(COUPLING_ENV) or datasets.data_file_path("ibmqx4.json")
+    coupling_file = args.coupling or datasets.data_file_path("ibmqx4.json")
     graph = parse_coupling(read_json(coupling_file))
     initial = _parse_layout(args.layout, graph.num_physical) if args.layout else None
     report = route(circuit, graph, initial)

@@ -286,30 +286,57 @@ class RoutingCheck:
         return self.legal and self.equivalent
 
 
+def _head(ops: tuple[CircuitOp, ...]) -> int:
+    """Where the classical tail starts: the index of the first non-gate op."""
+    return next((i for i, op in enumerate(ops) if op.kind != "gate"), len(ops))
+
+
 def _equivalent(original: Circuit, report: TranspileReport) -> bool:
     n, p, routed = original.num_qubits, report.circuit.num_qubits, report.circuit.ops
     try:
         initial, final = (_placed(layout, n, p).l2p for layout in (report.initial_layout, report.final_layout))
     except ValueError:
         return False
-    measures = [replace(op, qubit=final[op.qubit]) for op in original.ops if op.kind == "measure"]
-    if [op for op in routed if op.kind == "measure"] != measures:
+    i, j = _head(original.ops), _head(routed)
+    u_orig = _unitary(original.ops[:i], n)
+    evolved = _unitary(routed[:j], p, _embedding(initial, n, p))
+    if not matrices_equal_up_to_phase(evolved, _embedding(final, n, p) @ u_orig):
         return False
-    u_orig = _unitary([op for op in original.ops if op.kind != "measure"], n)
-    evolved = _unitary([op for op in routed if op.kind != "measure"], p, _embedding(initial, n, p))
-    return matrices_equal_up_to_phase(evolved, _embedding(final, n, p) @ u_orig)
+    tail = iter(routed[j:])
+    for op in original.ops[i:]:
+        if op.kind == "measure":
+            if next(tail, None) != replace(op, qubit=final[op.qubit]):
+                return False
+            continue
+        # the shortest run of routed conds on op's clbit that fires op
+        want = _unitary([replace(op, targets=tuple(final[q] for q in op.targets))], p)
+        got = _unitary([], p)
+        for r in tail:
+            if r.kind != "cond" or r.clbit != op.clbit:
+                return False
+            got = _unitary([r], p, got)
+            if matrices_equal_up_to_phase(got, want):
+                break
+        else:
+            return False
+    return next(tail, None) is None
 
 
 def check_routing(original: Circuit, report: TranspileReport, graph: CouplingGraph) -> RoutingCheck:
     """Confirm edge legality and equivalence of a routing result.
 
     Legality inspects every two-qubit op in the routed circuit.  Equivalence
-    needs both layouts to pass route's rule for an initial mapping, and the
-    routed measurements, in order, to be the original's moved by the final
-    layout.  The other ops, each cond as if it fired, must take each column
-    of the initial embedding to the final embedding composed with the
-    original's unitary, up to one global phase and within ATOL_EVOLUTION.
-    Only those 2**n columns are evolved, so any device route accepts works.
+    needs both layouts to pass route's rule for an initial mapping.  Each
+    circuit splits at its first measurement or cond.  The routed gates
+    before it must take each column of the initial embedding to the final
+    embedding composed with the original's gates, up to one global phase and
+    within ATOL_EVOLUTION; only those 2**n columns are evolved, so any device
+    route accepts works.  The tails are then walked op by op: each routed
+    measurement must be the original's with its qubit moved by the final
+    layout, and each original cond must match the shortest run of routed
+    conds on its clbit whose product, as if fired, is the cond on its moved
+    wires up to phase (so a reversed cond CNOT matches its five ops).  A
+    routed gate in the tail, or a routed op left over, is not equivalent.
     """
     violations = []
     for i, op in enumerate(report.circuit.ops):

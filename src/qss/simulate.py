@@ -17,12 +17,13 @@ and a Pauli hit is an index gather with a phase, not a dense kernel.
 
 A run that fits one batch of at most _CHUNK_AMPS amplitudes of state
 capacity (one row per shot) and _CHUNK_AMPS uniform draws is drawn and
-evolved in one go.  A longer run goes in batches of half as many draws, and
-two draw buffers take turns: a worker thread fills the next batch's rows
-from the same generator while the current batch evolves, so at most
-_CHUNK_AMPS draws are held at once (or two shots' worth, if a single shot
-exceeds that).  Each batch joins a tally of the register values seen, so
-peak memory is O(_CHUNK_AMPS) plus that tally, whatever the shot count.
+evolved in one go, which measured faster than halving it to overlap the
+draws.  A longer run goes in batches of half as many draws: one worker
+thread per run fills the next batch's rows from the same generator into the
+other of two buffers while the current batch evolves, so at most _CHUNK_AMPS
+draws are held at once (or two shots' worth, if one shot exceeds that).
+Each batch joins a tally of the register values seen, so peak memory is
+O(_CHUNK_AMPS) plus that tally, whatever the shot count.
 
 Exact runs weight each group by its probability instead: a measurement
 splits every group into its nonzero-probability outcomes, 0 before 1, so the
@@ -31,7 +32,6 @@ branches come out in depth-first order.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -191,31 +191,16 @@ def _fill(rng: np.random.Generator, out: np.ndarray) -> None:
     rng.random(out=out)
 
 
-class _Drawer(threading.Thread):
-    """A worker thread, started on creation, that fills `out` through
-    _fill; after join, `error` holds what the fill raised, if anything."""
-
-    def __init__(self, rng: np.random.Generator, out: np.ndarray):
-        super().__init__()
-        self.rng, self.out, self.error = rng, out, None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            _fill(self.rng, self.out)
-        except BaseException as exc:
-            self.error = exc
-
-
 def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" = None) -> Counts:
     """Sample a circuit's shots and tally classical register values.
 
     A run of at most _CHUNK_AMPS // max(2**n, draw columns) shots, or of one
     shot, is one batch.  A longer run goes in batches of _CHUNK_AMPS //
-    max(2**n, 2 * draw columns) shots, at least one, and a worker thread
-    draws the next batch while this one evolves.  Each batch is tallied by
-    distinct register value as it finishes; measurement collapse uses the
-    true outcome while the recorded bit may be flipped by readout error.
+    max(2**n, 2 * draw columns) shots, at least one, and one worker thread
+    per run draws each next batch while the one before evolves.  Each batch
+    is tallied by distinct register value as it finishes; measurement
+    collapse uses the true outcome while the recorded bit may be flipped by
+    readout error.
     """
     ncols = max(1, sum(_op_draws(op, noise)[1] for op in circuit.ops))
     amps = 2**circuit.num_qubits
@@ -231,23 +216,23 @@ def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" 
     rows = cfg.shots
     if rows > max(1, _CHUNK_AMPS // max(amps, ncols)):
         rows = max(1, _CHUNK_AMPS // max(amps, 2 * ncols))
-    # Philox fills rows in order and only one thread draws at a time, so
-    # every shot gets the uniforms of one shots x columns draw.  The two
-    # buffers of a longer run take turns: the worker fills one while the
-    # other is evolved.
+    # Philox fills rows in order and one thread draws at a time, so every
+    # shot gets the uniforms of one shots x columns draw.  In a longer run
+    # the worker fills one buffer while the other is evolved.
     buffers = np.empty((1 + (rows < cfg.shots), rows, ncols))
     u = buffers[0]
     _fill(rng, u)
-    for start in range(rows, cfg.shots, rows):
-        following = buffers[start // rows % 2, : cfg.shots - start]
-        drawer = _Drawer(rng, following)
-        try:
-            add(u)
-        finally:
-            drawer.join()
-        if drawer.error is not None:
-            raise drawer.error
-        u = following
+    if rows < cfg.shots:
+        # imported here so that start-up and single-batch runs skip its ~3 ms
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1) as worker:
+            for start in range(rows, cfg.shots, rows):
+                following = buffers[start // rows % 2, : cfg.shots - start]
+                filled = worker.submit(_fill, rng, following)
+                add(u)
+                filled.result()
+                u = following
     add(u)
     return Counts._from_tally(codes, tally, circuit.num_clbits)
 

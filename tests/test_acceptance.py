@@ -7,7 +7,6 @@ plain run shows the full scorecard at a glance.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -268,8 +267,6 @@ def test_criterion_8_transpiler_soundness(report, ibmqx4, coherent_circuit):
 
 def test_criterion_9_determinism(report, tmp_path, monkeypatch):
     def body():
-        env = dict(os.environ)
-        env.pop("QSS_DEFAULT_COUPLING", None)
         commands = {
             "run": ["run", "--mode", "sampled", "--seed", "7", "--shots", "8192"],
             "tomo": ["tomo", "--seed", "3", "--shots", "8192"],
@@ -282,7 +279,6 @@ def test_criterion_9_determinism(report, tmp_path, monkeypatch):
                 proc = subprocess.run(
                     [sys.executable, "-m", "qss.cli", *argv, "--out", str(out)],
                     capture_output=True,
-                    env=env,
                     timeout=300,
                 )
                 assert proc.returncode == 0, proc.stderr.decode()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qss import Circuit, DensityMatrix, ProtocolConfig, assemble_circuit, datasets
-from qss.cli import COUPLING_ENV, main
+from qss.cli import main
 from qss.fileio import write_json
 
 from conftest import FID_HW_REPORTED, P0_SECRET, RHO_HW, RHO_SECRET, SAMPLED_FROZEN
@@ -159,8 +159,7 @@ def test_tomo_csv_rows(capsys):
         assert float(p0) + float(p1) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_transpile_bundled_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(COUPLING_ENV, raising=False)
+def test_transpile_bundled_default(tmp_path, capsys):
     src = circuit_file(tmp_path)
     assert run_cli("transpile", src) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -171,35 +170,14 @@ def test_transpile_bundled_default(tmp_path, monkeypatch, capsys):
     assert len(payload["circuit"]["ops"]) == 19
 
 
-def test_transpile_check_endorses_the_result(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(COUPLING_ENV, raising=False)
+def test_transpile_check_endorses_the_result(tmp_path, capsys):
     src = circuit_file(tmp_path)
     assert run_cli("transpile", src, "--check") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["check"] == {"legal": True, "equivalent": True, "violations": []}
 
 
-def test_transpile_env_coupling(tmp_path, monkeypatch, capsys):
-    coupling = tmp_path / "coupling.json"
-    coupling.write_text(
-        Path(datasets.data_file_path("ibmqx4.json")).read_text(encoding="utf-8"),
-        encoding="utf-8",
-    )
-    monkeypatch.setenv(COUPLING_ENV, str(coupling))
-    src = circuit_file(tmp_path)
-    assert run_cli("transpile", src) == 0
-    capsys.readouterr()
-    # an explicit flag wins over the environment
-    monkeypatch.setenv(COUPLING_ENV, str(tmp_path / "missing.json"))
-    assert run_cli("transpile", src, "--coupling", str(coupling)) == 0
-    capsys.readouterr()
-    # the environment alone pointing nowhere is an I/O failure
-    assert run_cli("transpile", src) == 1
-    assert "cannot read" in capsys.readouterr().err
-
-
-def test_transpile_layout_flag(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(COUPLING_ENV, raising=False)
+def test_transpile_layout_flag(tmp_path, capsys):
     src = circuit_file(tmp_path)
     assert run_cli("transpile", src, "--layout", "0:0,1:1,2:2,3:3") == 0
     payload = json.loads(capsys.readouterr().out)
@@ -208,8 +186,7 @@ def test_transpile_layout_flag(tmp_path, monkeypatch, capsys):
     assert "--layout" in capsys.readouterr().err
 
 
-def test_transpile_rejects_csv(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(COUPLING_ENV, raising=False)
+def test_transpile_rejects_csv(tmp_path, capsys):
     src = circuit_file(tmp_path)
     assert run_cli("transpile", src, "--format", "csv") == 2
     assert "--format" in capsys.readouterr().err
@@ -227,18 +204,19 @@ def test_fidelity_near_the_float_limit_is_a_schema_error(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: $: density matrix must be Hermitian\n")
 
 
-def test_transpile_missing_and_malformed_inputs(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(COUPLING_ENV, raising=False)
+def test_transpile_missing_and_malformed_inputs(tmp_path, capsys):
     assert run_cli("transpile", str(tmp_path / "absent.json")) == 1
     assert "cannot read" in capsys.readouterr().err
     mangled = tmp_path / "mangled.json"
     mangled.write_text("{oops", encoding="utf-8")
     assert run_cli("transpile", str(mangled)) == 2
     assert "$" in capsys.readouterr().err
+    # a coupling file that is not there is an I/O failure
+    assert run_cli("transpile", circuit_file(tmp_path), "--coupling", str(tmp_path / "missing.json")) == 1
+    assert "cannot read" in capsys.readouterr().err
 
 
-def test_transpile_rejects_non_integer_wires(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(COUPLING_ENV, raising=False)
+def test_transpile_rejects_non_integer_wires(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     write_json(str(bad), {"qubits": 2, "clbits": 0, "ops": [{"kind": "gate", "name": "CNOT", "targets": [0, 1.7]}]})
     assert run_cli("transpile", str(bad)) == 2
@@ -339,8 +317,7 @@ INPUT_ERRORS = {
 
 
 @pytest.mark.parametrize("argv, message", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
-def test_input_errors_exit_2(argv, message, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(COUPLING_ENV, raising=False)
+def test_input_errors_exit_2(argv, message, tmp_path, capsys):
     big = 1.6e308
     files = {
         "disconnected": {"qubits": 4, "edges": [[0, 1], [2, 3]]},

@@ -61,7 +61,7 @@ def test_traced_modules_expose_only_the_pinned_public_functions():
 
 
 def test_readme_python_blocks_run():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 3
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

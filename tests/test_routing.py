@@ -479,6 +479,28 @@ def test_check_routing_checks_measurements_and_conds(ibmqx4):
             assert result.legal and not result.equivalent, (trial, bad)
     assert moved_conds >= 20
 
+    # Tampered tails that keep the routed measurements in order and every
+    # cond's action as if fired, but not the circuit's outcome.
+    def last_reads_c1(ops):
+        return ops[:-1] + (dataclasses.replace(ops[-1], clbit=1),)
+
+    for c, tamper in [
+        # the cond X(1) reads c1 instead of c0
+        (Circuit(2, 2).gate("H", 0).measure(0, 0).measure(1, 1).cond("X", 1, 0), last_reads_c1),
+        # the cond X(1) moves after the measurement of wire 1, so the counts
+        # {00, 11} become {00, 01}
+        (Circuit(2, 2).gate("H", 0).measure(0, 0).cond("X", 1, 0).measure(1, 1), lambda ops: ops[:-2] + (ops[-1], ops[-2])),
+        # the fifth op of a reversed cond CNOT(0, 1) reads c1
+        (Circuit(2, 2).gate("H", 0).measure(0, 0).measure(1, 1).cond("CNOT", (0, 1), 0), last_reads_c1),
+        # a gate on an idle wire after the tail is an op left over
+        (Circuit(2, 2).gate("H", 0).measure(0, 0).measure(1, 1), lambda ops: ops + (CircuitOp("gate", "H", (4,)),)),
+    ]:
+        report = route(c, ibmqx4)
+        assert check_routing(c, report, ibmqx4).ok
+        bad = Circuit(ibmqx4.num_physical, 2, tamper(report.circuit.ops))
+        result = check_routing(c, dataclasses.replace(report, circuit=bad), ibmqx4)
+        assert result.legal and not result.equivalent, bad.ops
+
 
 @pytest.mark.parametrize("p", [6, 7, 8])
 def test_check_routing_on_devices_past_five_qubits(p, tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Shot sampler, exact branch enumeration, and unitary extraction."""
 
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +182,42 @@ def test_a_failing_batch_raises_and_leaves_no_thread(name, call, monkeypatch):
     with pytest.raises(Boom, match=f"{name} call {call}"):
         simulate_shots(circuit, RunConfig(shots=12, seed=3), noise=noise)
     assert threading.active_count() == before
+
+
+def test_a_multi_batch_run_draws_on_one_worker(monkeypatch):
+    # three batches of 4 shots: batch 0 is filled on the caller, batches 1
+    # and 2 on one worker thread that serves the whole run
+    circuit, noise = DRAW_BOUND
+    monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**7)
+    fill, threads = qss.simulate._fill, []
+
+    def recording_fill(rng, out):
+        threads.append(threading.current_thread())
+        fill(rng, out)
+
+    monkeypatch.setattr(qss.simulate, "_fill", recording_fill)
+    simulate_shots(circuit, RunConfig(shots=12, seed=3), noise=noise)
+    caller = threading.current_thread()
+    assert len(threads) == 3 and threads[0] is caller
+    assert threads[1] is threads[2] and threads[1] is not caller
+
+
+def test_single_batch_runs_do_not_import_concurrent_futures():
+    # Importing concurrent.futures costs a process about 3 ms, so only a
+    # multi-batch run imports it.  An 8192-shot noisy protocol run is one
+    # batch; the 20,000-shot run after it shows the probe sees the import.
+    probe = (
+        "import sys, qss.cli\n"
+        "from qss import ProtocolConfig, run_protocol\n"
+        "from qss.datasets import shipped_noise_model\n"
+        "for shots in (8192, 20000):\n"
+        "    run_protocol(ProtocolConfig(shots=shots, noise=shipped_noise_model()))\n"
+        "    print('concurrent.futures' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qss.simulate.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, encoding="utf-8", env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_concurrent_pipelined_runs_keep_their_counts(monkeypatch):
