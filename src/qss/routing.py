@@ -293,6 +293,8 @@ def _head(ops: tuple[CircuitOp, ...]) -> int:
 
 def _equivalent(original: Circuit, report: TranspileReport) -> bool:
     n, p, routed = original.num_qubits, report.circuit.num_qubits, report.circuit.ops
+    if report.circuit.num_clbits != original.num_clbits:
+        return False
     try:
         initial, final = (_placed(layout, n, p).l2p for layout in (report.initial_layout, report.final_layout))
     except ValueError:
@@ -325,13 +327,14 @@ def _equivalent(original: Circuit, report: TranspileReport) -> bool:
 def check_routing(original: Circuit, report: TranspileReport, graph: CouplingGraph) -> RoutingCheck:
     """Confirm edge legality and equivalence of a routing result.
 
-    Legality inspects every two-qubit op in the routed circuit.  Equivalence
-    needs both layouts to pass route's rule for an initial mapping.  Each
-    circuit splits at its first measurement or cond.  The routed gates
-    before it must take each column of the initial embedding to the final
-    embedding composed with the original's gates, up to one global phase and
-    within ATOL_EVOLUTION; only those 2**n columns are evolved, so any device
-    route accepts works.  The tails are then walked op by op: each routed
+    Legality needs the routed circuit to fit the device and inspects every
+    two-qubit op in it.  Equivalence needs equal register widths and both
+    layouts to pass route's rule for an initial mapping.  Each circuit
+    splits at its first measurement or cond.  The routed gates before it
+    must take each column of the initial embedding to the final embedding
+    composed with the original's gates, up to one global phase and within
+    ATOL_EVOLUTION; only those 2**n columns are evolved, so any device route
+    accepts works.  The tails are then walked op by op: each routed
     measurement must be the original's with its qubit moved by the final
     layout, and each original cond must match the shortest run of routed
     conds on its clbit whose product, as if fired, is the cond on its moved
@@ -339,6 +342,8 @@ def check_routing(original: Circuit, report: TranspileReport, graph: CouplingGra
     routed gate in the tail, or a routed op left over, is not equivalent.
     """
     violations = []
+    if report.circuit.num_qubits > graph.num_physical:
+        violations.append(f"routed circuit has {report.circuit.num_qubits} qubits, device has {graph.num_physical}")
     for i, op in enumerate(report.circuit.ops):
         if len(op.targets) != 2:
             continue

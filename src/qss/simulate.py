@@ -15,15 +15,19 @@ run.  A Pauli hit moves only the shots it hits into new groups keyed by
 recorded bit).  Both regroupings rank keys densely instead of sorting them,
 and a Pauli hit is an index gather with a phase, not a dense kernel.
 
-A run that fits one batch of at most _CHUNK_AMPS amplitudes of state
-capacity (one row per shot) and _CHUNK_AMPS uniform draws is drawn and
-evolved in one go, which measured faster than halving it to overlap the
-draws.  A longer run goes in batches of half as many draws: one worker
-thread per run fills the next batch's rows from the same generator into the
-other of two buffers while the current batch evolves, so at most _CHUNK_AMPS
-draws are held at once (or two shots' worth, if one shot exceeds that).
-Each batch joins a tally of the register values seen, so peak memory is
-O(_CHUNK_AMPS) plus that tally, whatever the shot count.
+A batch holds only the rows it has created, with no buffer preallocated
+per shot: a Pauli hit appends its new rows, and if rows then outnumber
+shots, only the rows some shot holds are kept, in order.  So a batch holds
+at most one row per shot between ops, and at most two during a hit.  A run
+that fits one batch of at most _CHUNK_AMPS amplitudes at one row per shot
+and _CHUNK_AMPS uniform draws is drawn and evolved in one go, which measured
+faster than halving it to overlap the draws.  A longer run goes in batches
+of half as many draws: one worker thread per run fills the next batch's rows
+from the same generator into the other of two buffers while the current
+batch evolves, so at most _CHUNK_AMPS draws are held at once (or two shots'
+worth, if one shot exceeds that).  Each batch joins a tally of the register
+values seen, so peak memory is O(_CHUNK_AMPS) plus that tally, whatever the
+shot count.
 
 Exact runs weight each group by its probability instead: a measurement
 splits every group into its nonzero-probability outcomes, 0 before 1, so the
@@ -96,17 +100,6 @@ def _pauli_tables(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase
 
 
-def _compact(states: np.ndarray, creg: np.ndarray, group: np.ndarray, g: int, leaving: np.ndarray) -> int:
-    """Pack the groups still held by shots outside `leaving` into the first
-    rows, renumber those shots, and return the new group count."""
-    stay = np.ones(group.size, dtype=bool)
-    stay[leaving] = False
-    live, group[stay] = _regroup(group[stay], g)
-    states[: live.size] = states[live]
-    creg[: live.size] = creg[live]
-    return live.size
-
-
 def _evolve(
     circuit: Circuit, u: np.ndarray | None = None, noise: "NoiseModel | None" = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,21 +111,18 @@ def _evolve(
     """
     n = circuit.num_qubits
     bits = (np.arange(2**n) >> np.arange(n)[:, None]) & 1
-    cap = 1 if u is None else len(u)
-    states = np.empty((cap, 2**n), dtype=complex)
-    states[0] = 0.0
+    states = np.zeros((1, 2**n), dtype=complex)
     states[0, 0] = 1.0
-    creg = np.zeros((cap, circuit.num_clbits), dtype=np.int64)
-    group = None if u is None else np.zeros(cap, dtype=np.int64)
+    creg = np.zeros((1, circuit.num_clbits), dtype=np.int64)
+    group = None if u is None else np.zeros(len(u), dtype=np.int64)
     prob = np.ones(1)
-    g = 1
     col = 0
     for op in circuit.ops:
         p_err, width = _op_draws(op, noise)
         cols, col = range(col, col + width), col + width
         if op.kind == "measure":
             bit = bits[op.qubit]
-            p1 = (np.abs(states[:g]) ** 2)[:, bit == 1].sum(axis=1)
+            p1 = (np.abs(states) ** 2)[:, bit == 1].sum(axis=1)
             p0 = 1.0 - p1
             if u is None:
                 pairs = np.array((p0, p1)).ravel(order="F")
@@ -148,22 +138,17 @@ def _evolve(
                 shot_record = shot_outcome
                 if width == 2:
                     shot_record = shot_outcome ^ (u[:, cols[1]] < p_err)
-                keys, group = _regroup(group * 4 + shot_outcome * 2 + shot_record, 4 * g)
+                keys, group = _regroup(group * 4 + shot_outcome * 2 + shot_record, 4 * len(states))
                 parent, outcome, recorded = keys >> 2, (keys >> 1) & 1, keys & 1
                 p = np.where(outcome == 1, p1[parent], p0[parent])
-            new = np.where(bit == outcome[:, None], states[parent], 0.0) / np.sqrt(p)[:, None]
-            reg = creg[parent]
-            reg[:, op.clbit] = recorded
-            g = parent.size
-            if u is None:
-                states, creg = new, reg
-            else:
-                states[:g], creg[:g] = new, reg
+            states = np.where(bit == outcome[:, None], states[parent], 0.0) / np.sqrt(p)[:, None]
+            creg = creg[parent]
+            creg[:, op.clbit] = recorded
             continue
         if op.kind == "gate":
-            rows = slice(0, g)
+            rows = slice(None)
         else:
-            rows = np.flatnonzero(creg[:g, op.clbit])
+            rows = np.flatnonzero(creg[:, op.clbit])
             if not rows.size:
                 continue
         states[rows] = apply_unitary(states[rows], gate(op.name).matrix, op.targets, n)
@@ -174,16 +159,17 @@ def _evolve(
             if not shots.size:
                 continue
             which = (u[shots, trigger + 1] * 3.0).astype(np.int64)
-            keys, inv = _regroup(group[shots] * 3 + which, 3 * g)
+            keys, inv = _regroup(group[shots] * 3 + which, 3 * len(states))
             parent, pauli = np.divmod(keys, 3)
             perm, phase = _pauli_tables(n, q)
-            new, reg = phase[pauli] * states[parent[:, None], perm[pauli]], creg[parent]
-            if g + keys.size > cap:
-                g = _compact(states, creg, group, g, shots)
-            states[g : g + keys.size], creg[g : g + keys.size] = new, reg
-            group[shots] = g + inv
-            g += keys.size
-    return states[:g], creg[:g], prob if u is None else group
+            group[shots] = len(states) + inv
+            states = np.concatenate((states, phase[pauli] * states[parent[:, None], perm[pauli]]))
+            creg = np.concatenate((creg, creg[parent]))
+            if len(states) > len(group):
+                # keep the rows some shot holds, in order, and renumber
+                live, group = _regroup(group, len(states))
+                states, creg = states[live], creg[live]
+    return states, creg, prob if u is None else group
 
 
 def _fill(rng: np.random.Generator, out: np.ndarray) -> None:

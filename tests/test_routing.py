@@ -363,6 +363,26 @@ def test_check_routing_flags_wrong_unitary(ibmqx4):
     assert result.legal and not result.equivalent
 
 
+def test_check_routing_flags_a_routed_circuit_wider_than_the_device():
+    from qss import TranspileReport
+
+    c = Circuit(1, 1).gate("H", 0).measure(0, 0)
+    report = TranspileReport(Circuit(3, 1).gate("H", 2).measure(2, 0), {0: 2}, {0: 2})
+    result = check_routing(c, report, CouplingGraph(2, ((0, 1),)))
+    assert (result.legal, result.violations) == (False, ("routed circuit has 3 qubits, device has 2",))
+
+
+def test_check_routing_compares_register_widths(ibmqx4):
+    # The same gates and measurements into a wider register give count
+    # keys of another width.
+    c = Circuit(1, 1).gate("H", 0).measure(0, 0)
+    report = route(c, ibmqx4)
+    assert check_routing(c, report, ibmqx4).ok
+    wide = dataclasses.replace(report, circuit=Circuit(5, 2, report.circuit.ops))
+    result = check_routing(c, wide, ibmqx4)
+    assert result.legal and not result.equivalent
+
+
 def _mutations(report, rng):
     """Four broken copies of a routing whose logical circuit ends in CNOT then
     a non-identity one-qubit gate: the last op dropped, the last CNOT's

@@ -93,7 +93,8 @@ def test_counts_match_trajectory_oracle(noise, seed, monkeypatch):
     expected = oracles.trajectory_counts(circuit, model, shots=300, seed=seed)
     cfg = RunConfig(shots=300, seed=seed)
     assert simulate_shots(circuit, cfg, noise=model).counts == expected
-    # a few shots per batch, so a heavy-noise batch outgrows its groups
+    # a few shots per batch, so a heavy-noise batch's rows outnumber its
+    # shots and are re-packed
     monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**7)
     assert simulate_shots(circuit, cfg, noise=model).counts == expected
 
@@ -274,7 +275,11 @@ def draw_columns(circuit, noise) -> int:
 
 def peak_traced_bytes(circuit, shots, noise) -> int:
     """Peak bytes traced by tracemalloc while sampling, numpy buffers
-    included; gate tables are cached by a warm-up run first."""
+    included; gate tables are cached by a warm-up run first.  A multi-batch
+    run imports concurrent.futures on first use (about 100 kB), so it is
+    imported first here; else a test run alone would trace that import."""
+    import concurrent.futures  # noqa: F401
+
     simulate_shots(circuit, RunConfig(shots=4, seed=3), noise=noise)
     tracemalloc.start()
     try:
@@ -298,6 +303,26 @@ def test_long_noisy_circuit_memory_is_bounded_by_the_batch(monkeypatch):
     c = noisy_chain(1, 50)
     assert draw_columns(c, shipped_noise_model()) == 102
     assert peak_traced_bytes(c, 1024, shipped_noise_model()) < 4 * 2**12 * 16
+
+
+def test_a_batch_holds_at_most_one_row_per_shot(monkeypatch):
+    # Half the shots take a Pauli at each of the 60 gates, so rows soon
+    # outnumber the 36 shots and are re-packed.  A re-pack is a _regroup over
+    # every shot; before the three final measurements no other call is.
+    c, noise, shots = noisy_chain(3, 20), NoiseModel(0.5, 0.5, 0.1), 36
+    calls = []
+    regroup = qss.simulate._regroup
+
+    def spy(key, size):
+        calls.append(len(key))
+        return regroup(key, size)
+
+    monkeypatch.setattr(qss.simulate, "_regroup", spy)
+    u = np.random.default_rng(5).random((shots, draw_columns(c, noise)))
+    states, creg, group = _evolve(c, u, noise)
+    assert calls[:-3].count(shots) > 0
+    assert len(states) == len(creg) <= shots and group.shape == (shots,)
+    assert 0 <= group.min() and group.max() < len(states)
 
 
 @pytest.mark.parametrize("size, count", [(1, 1), (1, 50), (2, 1), (7, 3), (40, 1000), (4096, 300)])
