@@ -4,14 +4,22 @@ The trajectory model inserts a uniform random Pauli after each gate on each
 touched qubit (probability p1 for one-qubit gates, p2 for two-qubit gates)
 and flips each recorded measurement bit with probability p_read.  Collapse
 always follows the true outcome; only the record is corrupted.
+
+The calibration fit evaluates the receiver's exact P(0) under this model
+through the noisy channel of simulate.exact_distribution, and turns it into
+a fixed-seed shot estimate, so each evaluation costs one channel run rather
+than thousands of trajectories.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .circuit import Circuit, RunConfig
-from .simulate import _exact_p0, simulate_shots
+import numpy as np
+
+from .circuit import Circuit
+from .simulate import _exact_p0
 
 
 class CalibrationError(ValueError):
@@ -76,6 +84,14 @@ _TOL = 0.005
 _MAX_ITER = 20
 
 
+def _estimator(circuit: Circuit, bit: int, p_read: float, shots: int, seed: int) -> Callable[[float], float]:
+    """The fit's shot estimate of P(bit reads 0) at depolarizing strength p:
+    the share of `shots` uniforms, drawn once from Philox keyed by the seed,
+    that lie below the exact value."""
+    u = np.random.Generator(np.random.Philox(key=seed)).random(shots)
+    return lambda p: int(np.count_nonzero(u < _exact_p0(circuit, bit, NoiseModel.depolarizing(p, p_read)))) / shots
+
+
 def fit_depolarizing_detail(
     target_p0: float,
     circuit: Circuit,
@@ -86,11 +102,15 @@ def fit_depolarizing_detail(
     """Bisect the depolarizing strength until the receiver's P(0) matches a
     target; the receiver bit is the clbit of the circuit's last measurement.
 
-    Every evaluation reuses the same seed, so the estimated P(0) is a
-    deterministic and (up to sampling ties) monotone function of p and the
-    whole fit reproduces exactly.  Raises CalibrationError, a ValueError,
-    when the target is above the noiseless value or below what the
-    strongest allowed noise produces.
+    Each evaluation is a `shots`-shot estimate of P(0): the share of one
+    fixed set of uniforms, drawn once from Philox keyed by the seed, that
+    lies below the exact P(record 0) of the noisy channel at that p.  So
+    each estimate is Binomial(shots, P(0)), as a sampled run's would be,
+    `achieved` is the estimate at the fitted p, the estimate is
+    non-increasing wherever the exact P(0) falls with p, and the whole fit
+    reproduces exactly.  Raises CalibrationError, a ValueError, when the
+    target is above the exact value at p = 0 with the given p_read, or
+    below the estimate that the strongest allowed noise produces.
     """
     if shots < 20000:
         raise ValueError("calibration needs at least 20000 shots per evaluation")
@@ -99,15 +119,11 @@ def fit_depolarizing_detail(
         raise ValueError("circuit has no measurement to calibrate against")
     bit = measured[-1]
 
-    p0_ceiling = _exact_p0(circuit, bit)
+    p0_ceiling = _exact_p0(circuit, bit, NoiseModel.depolarizing(_P_LO, p_read))
     if target_p0 > p0_ceiling + _TOL:
-        raise CalibrationError(f"target {target_p0} exceeds the noiseless value {p0_ceiling:.6f}")
+        raise CalibrationError(f"target {target_p0} exceeds the noiseless value {p0_ceiling:.6f} at p_read = {p_read}")
 
-    def evaluate(p: float) -> float:
-        model = NoiseModel.depolarizing(p, p_read)
-        counts = simulate_shots(circuit, RunConfig(shots=shots, seed=seed), noise=model)
-        return counts.marginal(bit).p0()
-
+    evaluate = _estimator(circuit, bit, p_read, shots, seed)
     floor = evaluate(_P_HI)
     if target_p0 < floor - _TOL:
         raise CalibrationError(f"target {target_p0} is below {floor:.4f}, the value at p = {_P_HI}")

@@ -32,6 +32,14 @@ shot count.
 Exact runs weight each group by its probability instead: a measurement
 splits every group into its nonzero-probability outcomes, 0 before 1, so the
 branches come out in depth-first order.
+
+An exact noisy run (exact_distribution with a nonzero NoiseModel) is a
+channel rather than a sum of trajectories: it holds one unnormalized
+vec(rho) per reachable register value, on 2n wires, and applies each gate
+with the same kernel, as U on the row wires and conj(U) on the column
+wires.  Depolarizing noise and readout flips mix those vectors in closed
+form, so the result is the trajectory model's exact register law, with no
+draws.  The calibration fit reads its P(0) from this channel.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ if TYPE_CHECKING:
 MAX_BRANCHES = 2**16
 _BRANCH_EPS = 1e-14
 _CHUNK_AMPS = 2**19
+_MIXED_AMPS = 2**24
 
 
 class SimulationError(RuntimeError):
@@ -236,17 +245,112 @@ def enumerate_branches(circuit: Circuit) -> list[Branch]:
     return [Branch(tuple(reg), p, state) for state, reg, p in zip(states, creg.tolist(), prob.tolist())]
 
 
-def exact_distribution(circuit: Circuit) -> dict[str, float]:
-    """Exact classical-register distribution, keyed by bitstring; branches
-    that end in the same register value add up in depth-first order."""
-    _, creg, prob = _evolve(circuit)
+@lru_cache(maxsize=None)  # at most 36 (n, q) pairs, as n <= 8
+def _pair_tables(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vec(rho) indices on 2n wires whose row and column bits of qubit
+    q both read 0, and the same indices with both bits set to 1."""
+    idx = np.arange(4**n)
+    zero = idx[((idx >> q) | (idx >> (n + q))) & 1 == 0]
+    one = zero | (1 << q) | (1 << (n + q))
+    zero.setflags(write=False)
+    one.setflags(write=False)
+    return zero, one
+
+
+def _depolarize(rho: np.ndarray, q: int, p: float, n: int) -> None:
+    """(1 - p) rho + (p/3) (X rho X + Y rho Y + Z rho Z) on qubit q of each
+    vec(rho) row, in place.  As the four Pauli conjugations add up to
+    2 I (x) Tr_q rho, this is (1 - 4p/3) rho + (2p/3) I (x) Tr_q rho: the
+    two diagonal blocks of q each gain 2p/3 of their sum."""
+    zero, one = _pair_tables(n, q)
+    mixed = rho[:, zero] + rho[:, one]
+    mixed *= 2.0 * p / 3.0
+    rho *= 1.0 - 4.0 * p / 3.0
+    rho[:, zero] += mixed
+    rho[:, one] += mixed
+
+
+def _mixed(circuit: Circuit, noise: "NoiseModel") -> tuple[np.ndarray, np.ndarray]:
+    """The exact noisy evolution: (rho, creg), one unnormalized vec(rho) row
+    per reachable register value, whose trace is that value's probability.
+
+    Row index bits are wires 0..n-1 and column index bits wires n..2n-1 of a
+    2n-wire vector, so a gate U is U on its targets and conj(U) on theirs
+    plus n.  After a gate, or a cond that fires, each target is depolarized
+    with p1 (one-qubit ops) or p2 (two-qubit ops), as in the trajectory
+    model.  A measurement keeps, per true outcome, the block whose row and
+    column bit equal it, and records the bit flipped with probability
+    p_read; a record whose weight is at most _BRANCH_EPS of its register's
+    is dropped, as the pure engine drops a branch.
+
+    Each clbit is written once, so at most 2**(measurements) register values
+    are reachable; SimulationError is raised up front, before anything is
+    evolved, when that many vec(rho) rows would exceed _MIXED_AMPS
+    amplitudes.
+    """
+    n = circuit.num_qubits
+    registers = 2 ** sum(op.kind == "measure" for op in circuit.ops)
+    if registers * 4**n > _MIXED_AMPS:
+        raise SimulationError(f"the noisy channel would hold up to {registers} x 4**{n} amplitudes, above 2**24")
+    idx = np.arange(4**n)
+    rho = np.zeros((1, 4**n), dtype=complex)
+    rho[0, 0] = 1.0
+    creg = np.zeros((1, circuit.num_clbits), dtype=np.int64)
+    for op in circuit.ops:
+        if op.kind == "measure":
+            q, flip = op.qubit, noise.p_read
+            # blocks[t] keeps the entries whose row and column bit q read t;
+            # weight[r, t] is the chance that true outcome t is recorded as r
+            both = ((idx >> q) & 1) + ((idx >> (n + q)) & 1)
+            blocks = np.array((both == 0, both == 2), dtype=float)
+            weight = np.array(((1.0 - flip, flip), (flip, 1.0 - flip)))
+            trace = rho[:, :: 2**n + 1].real
+            outcome = ((np.arange(2**n) >> q) & 1).astype(bool)
+            p_true = np.array((trace[:, ~outcome].sum(axis=1), trace[:, outcome].sum(axis=1)))
+            p_record = weight @ p_true
+            parent, record = np.nonzero((p_record > _BRANCH_EPS * p_true.sum(axis=0)).T)
+            rho = rho[parent] * (weight @ blocks)[record]
+            creg = creg[parent]
+            creg[:, op.clbit] = record
+            continue
+        if op.kind == "gate":
+            rows = slice(None)
+        else:
+            rows = np.flatnonzero(creg[:, op.clbit])
+            if not rows.size:
+                continue
+        u = gate(op.name).matrix
+        block = apply_unitary(rho[rows], u, op.targets, 2 * n)
+        block = apply_unitary(block, u.conj(), tuple(n + q for q in op.targets), 2 * n)
+        p = noise.p1 if len(op.targets) == 1 else noise.p2
+        if p > 0.0:
+            for q in op.targets:
+                _depolarize(block, q, p, n)
+        rho[rows] = block
+    return rho, creg
+
+
+def exact_distribution(circuit: Circuit, noise: "NoiseModel | None" = None) -> dict[str, float]:
+    """Exact classical-register distribution, keyed by bitstring.
+
+    Without noise, or with a zero model, branches that end in the same
+    register value add up in depth-first order.  Otherwise the noisy channel
+    gives each reachable value's probability as its trace, with round-off
+    negatives clipped to 0 and the whole renormalized to sum to 1.
+    """
+    if noise is None or noise.is_zero():
+        _, creg, prob = _evolve(circuit)
+    else:
+        rho, creg = _mixed(circuit, noise)
+        prob = np.clip(rho[:, :: 2**circuit.num_qubits + 1].real.sum(axis=1), 0.0, None)
+        prob /= prob.sum()
     codes, dist = _tally(_register_codes(creg), prob)
     return {bitstring(code, circuit.num_clbits): p for code, p in zip(codes.tolist(), dist.tolist())}
 
 
-def _exact_p0(circuit: Circuit, clbit: int) -> float:
+def _exact_p0(circuit: Circuit, clbit: int, noise: "NoiseModel | None" = None) -> float:
     """Exact probability that one clbit of the register reads 0."""
-    return sum(p for key, p in exact_distribution(circuit).items() if _key_clbit(key, clbit) == "0")
+    return sum(p for key, p in exact_distribution(circuit, noise).items() if _key_clbit(key, clbit) == "0")
 
 
 def _qubit_state(circuit: Circuit, qubit: int) -> DensityMatrix:

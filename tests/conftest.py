@@ -49,7 +49,7 @@ SAMPLED_FROZEN = (
 
 # Frozen calibration results at seed 0 against target P(0) = 0.800.
 CAL_FITTED_P = 0.009375
-CAL_ACHIEVED = 0.79865
+CAL_ACHIEVED = 0.8044
 CAL_ITERATIONS = 6
 CAL_CONFIRM_P0 = 0.797119140625  # calibration circuit, 8192 shots, seed 0
 

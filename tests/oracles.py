@@ -26,7 +26,10 @@ routing shares.  dense_routing_check is a
 frozen copy of the package's former check_routing, which compared two full
 dense unitaries between embeddings built in a Python double loop, by
 np.allclose (up_to_phase_by_allclose); the package now evolves only the
-embedded logical basis.
+embedded logical basis.  noisy_distribution is the dense reference for the
+package's noisy channel: full density matrices and Kraus sums, where the
+package evolves vec(rho) through its gate kernel and depolarizes in closed
+form.
 """
 
 from __future__ import annotations
@@ -224,6 +227,48 @@ def trajectory_counts(circuit, noise, shots: int, seed: int) -> dict[str, int]:
         key = "".join(str(b) for b in reversed(creg))
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def noisy_distribution(circuit, noise) -> dict[str, float]:
+    """Exact register distribution under the trajectory noise model, from
+    Kraus sums on one full density matrix per register value.
+
+    A gate, or a cond whose clbit reads 1, maps rho to U rho U^dagger with
+    U lifted to the register, and then depolarizes each target with the
+    Kraus operators sqrt(1 - p) I and sqrt(p/3) X, Y, Z: p1 after a
+    one-qubit op, p2 after a two-qubit op.  A measurement applies the
+    lifted projectors onto outcome 0 and 1 and records each outcome
+    flipped with probability p_read.  Every register value reached is
+    returned with its trace, keyed by bitstring with clbit 0 rightmost.
+    """
+    n, m = circuit.num_qubits, circuit.num_clbits
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    regs = {(0,) * m: rho}
+    for op in circuit.ops:
+        if op.kind == "measure":
+            grown: dict = {}
+            for reg, rho in regs.items():
+                for outcome in (0, 1):
+                    proj = lift(np.diag([1.0 - outcome, float(outcome)]).astype(complex), (op.qubit,), n)
+                    part = proj @ rho @ proj
+                    for recorded, w in ((outcome, 1.0 - noise.p_read), (1 - outcome, noise.p_read)):
+                        key = reg[: op.clbit] + (recorded,) + reg[op.clbit + 1 :]
+                        grown[key] = grown.get(key, 0.0) + w * part
+            regs = grown
+            continue
+        p = noise.p1 if len(op.targets) == 1 else noise.p2
+        kraus = [np.sqrt(1.0 - p) * np.eye(2)] + [np.sqrt(p / 3.0) * GATE_MATRICES[name] for name in ("X", "Y", "Z")]
+        u = lift(GATE_MATRICES[op.name], op.targets, n)
+        for reg, rho in regs.items():
+            if op.kind == "cond" and reg[op.clbit] == 0:
+                continue
+            rho = u @ rho @ u.conj().T
+            for q in op.targets:
+                ks = [lift(k, (q,), n) for k in kraus]
+                rho = sum(k @ rho @ k.conj().T for k in ks)
+            regs[reg] = rho
+    return {"".join(str(b) for b in reversed(reg)): float(np.trace(rho).real) for reg, rho in regs.items()}
 
 
 def walk_branches(circuit) -> list[tuple[tuple[int, ...], float, np.ndarray]]:

@@ -140,9 +140,9 @@ def test_fit_enforces_minimum_shots():
 
 def test_fit_validates_bracket_and_clbit():
     # the receiver bit is the last measurement's clbit: here clbit 0, which
-    # always reads 1, not clbit 1, which always reads 0
+    # reads 0 only by a readout flip, not clbit 1, which always reads 0
     last_reads_one = Circuit(2, 2).measure(0, 1).gate("X", 1).measure(1, 0)
-    with pytest.raises(CalibrationError, match="noiseless value 0.000000"):
+    with pytest.raises(CalibrationError, match="noiseless value 0.020000 at p_read = 0.02"):
         fit_depolarizing_detail(0.800, last_reads_one, seed=0)
     no_measure = Circuit(1, 1).gate("H", 0)
     with pytest.raises(ValueError, match="no measurement"):
