@@ -42,7 +42,7 @@ print()
 # drawn once from the seed, fall below it: a 20000-shot estimate that never
 # rises as the strength grows.  The same seed gives the same fit, bit for bit.
 TARGET = 0.800
-detail = fit_depolarizing_detail(TARGET, circuit, p_read=0.02, shots=20000, seed=0)
+detail = fit_depolarizing_detail(TARGET, circuit, p_read=0.02, seed=0)
 print(f"target receiver P(0):  {TARGET}")
 print(f"fitted strength:       {detail.fitted_p:.6f}")
 print(f"achieved in the fit:   {detail.achieved:.5f}")

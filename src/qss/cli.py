@@ -9,9 +9,11 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import datasets
+from .circuit import _check_seed
 from .fidelity import fidelity
 from .fileio import (
     SchemaError,
@@ -84,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit depolarizing strength to a target receiver P(0)")
     p.add_argument("--target", type=float, default=None, help="target P(0) (default: bundled hardware value)")
     p.add_argument("--p-read", type=float, default=0.02, dest="p_read")
-    p.add_argument("--shots", type=int, default=20000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--receiver", choices=RECEIVERS, default="charlie")
     p.add_argument("--out", metavar="PATH")
@@ -99,8 +100,8 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         if getattr(args, "strict", False):
             raise SchemaError("--seed", "required in strict mode")
         return 0
-    if args.seed < 0:
-        raise SchemaError("--seed", "must be nonnegative")
+    with _reported_at("--seed"):
+        _check_seed(args.seed)
     return args.seed
 
 
@@ -219,6 +220,8 @@ def cmd_transpile(args: argparse.Namespace) -> int:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
+    if args.compare is not None and not math.isfinite(args.compare):
+        raise SchemaError("--compare", f"must be finite, got {args.compare}")
     rho_t = parse_density_matrix(read_json(args.rho_t))
     rho_e = parse_density_matrix(read_json(args.rho_e))
     f = fidelity(rho_t, rho_e)
@@ -241,7 +244,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         target = float(datasets.load_reference_runs()["receiver_p0_hardware"]["8192"])
     cfg = ProtocolConfig(receiver=args.receiver, mode="coherent")
     circuit, _ = measurement_variant(assemble_circuit(cfg), cfg.receiver_wire, "Z")
-    detail = fit_depolarizing_detail(target, circuit, p_read=args.p_read, shots=args.shots, seed=seed)
+    detail = fit_depolarizing_detail(target, circuit, p_read=args.p_read, seed=seed)
     payload = detail.to_json()
     text = dump_json(payload)
     summary = [

@@ -55,7 +55,8 @@ def atomic_write_text(filename: str, text: str) -> None:
 
 
 def dump_json(obj: object) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical RFC 8259 JSON; a NaN or infinity raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(filename: str, obj: object) -> None:

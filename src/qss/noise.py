@@ -13,12 +13,13 @@ than thousands of trajectories.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, _check_seed
 from .simulate import _exact_p0
 
 
@@ -77,53 +78,56 @@ class FitResult:
 
 # The fit bisects the depolarizing strength over [_P_LO, _P_HI] and stops
 # once the estimated P(0) is within _TOL of the target, or after _MAX_ITER
-# steps.
+# steps; _P_MIN is the smallest midpoint it can reach.  Each estimate
+# counts _SHOTS uniforms.
 _P_LO = 0.0
 _P_HI = 0.2
 _TOL = 0.005
 _MAX_ITER = 20
+_P_MIN = _P_LO + (_P_HI - _P_LO) / 2**_MAX_ITER
+_SHOTS = 20000
 
 
-def _estimator(circuit: Circuit, bit: int, p_read: float, shots: int, seed: int) -> Callable[[float], float]:
+def _estimator(circuit: Circuit, bit: int, p_read: float, seed: int) -> Callable[[float], float]:
     """The fit's shot estimate of P(bit reads 0) at depolarizing strength p:
-    the share of `shots` uniforms, drawn once from Philox keyed by the seed,
+    the share of _SHOTS uniforms, drawn once from Philox keyed by the seed,
     that lie below the exact value."""
-    u = np.random.Generator(np.random.Philox(key=seed)).random(shots)
-    return lambda p: int(np.count_nonzero(u < _exact_p0(circuit, bit, NoiseModel.depolarizing(p, p_read)))) / shots
+    u = np.random.Generator(np.random.Philox(key=seed)).random(_SHOTS)
+    return lambda p: int(np.count_nonzero(u < _exact_p0(circuit, bit, NoiseModel.depolarizing(p, p_read)))) / _SHOTS
 
 
 def fit_depolarizing_detail(
     target_p0: float,
     circuit: Circuit,
     p_read: float = 0.02,
-    shots: int = 20000,
     seed: int = 0,
 ) -> FitResult:
     """Bisect the depolarizing strength until the receiver's P(0) matches a
     target; the receiver bit is the clbit of the circuit's last measurement.
 
-    Each evaluation is a `shots`-shot estimate of P(0): the share of one
+    Each evaluation is a _SHOTS-shot estimate of P(0): the share of one
     fixed set of uniforms, drawn once from Philox keyed by the seed, that
     lies below the exact P(record 0) of the noisy channel at that p.  So
-    each estimate is Binomial(shots, P(0)), as a sampled run's would be,
+    each estimate is Binomial(_SHOTS, P(0)), as a sampled run's would be,
     `achieved` is the estimate at the fitted p, the estimate is
     non-increasing wherever the exact P(0) falls with p, and the whole fit
-    reproduces exactly.  Raises CalibrationError, a ValueError, when the
-    target is above the exact value at p = 0 with the given p_read, or
-    below the estimate that the strongest allowed noise produces.
+    reproduces exactly.  The target must be finite and the seed a 64-bit
+    unsigned integer (ValueError).  Raises CalibrationError, a ValueError,
+    when the target is above the estimate at the smallest strength the
+    bisection reaches, or below the estimate at the largest, p = 0.2.
     """
-    if shots < 20000:
-        raise ValueError("calibration needs at least 20000 shots per evaluation")
+    if not math.isfinite(target_p0):
+        raise ValueError(f"target P(0) must be finite, got {target_p0}")
+    _check_seed(seed)
     measured = [op.clbit for op in circuit.ops if op.kind == "measure"]
     if not measured:
         raise ValueError("circuit has no measurement to calibrate against")
     bit = measured[-1]
 
-    p0_ceiling = _exact_p0(circuit, bit, NoiseModel.depolarizing(_P_LO, p_read))
-    if target_p0 > p0_ceiling + _TOL:
-        raise CalibrationError(f"target {target_p0} exceeds the noiseless value {p0_ceiling:.6f} at p_read = {p_read}")
-
-    evaluate = _estimator(circuit, bit, p_read, shots, seed)
+    evaluate = _estimator(circuit, bit, p_read, seed)
+    ceiling = evaluate(_P_MIN)
+    if target_p0 > ceiling + _TOL:
+        raise CalibrationError(f"target {target_p0} exceeds {ceiling:.4f}, the value at p = {_P_MIN:.3g}")
     floor = evaluate(_P_HI)
     if target_p0 < floor - _TOL:
         raise CalibrationError(f"target {target_p0} is below {floor:.4f}, the value at p = {_P_HI}")

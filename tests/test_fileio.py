@@ -79,6 +79,16 @@ def test_dump_json_is_canonical():
     assert text == '{\n  "a": 2,\n  "b": 1\n}\n'
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "minus-inf"])
+def test_json_writers_refuse_non_finite_numbers(bad, tmp_path):
+    # NaN and Infinity are not RFC 8259 JSON, so no writer emits them
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_json({"x": [bad]})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(str(tmp_path / "out.json"), {"x": bad})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dump_csv_shape():
     text = dump_csv([("x", 0.5, 1), ("y", 0.25, 2)], header=("label", "p", "n"))
     assert text == "label,p,n\nx,0.5,1\ny,0.25,2\n"

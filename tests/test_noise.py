@@ -1,7 +1,10 @@
 """Trajectory noise model and the depolarizing-strength calibration."""
 
+import inspect
+
 import pytest
 
+import qss.noise
 from qss import (
     Circuit,
     NoiseModel,
@@ -12,7 +15,7 @@ from qss import (
     simulate_shots,
 )
 from qss.fileio import parse_noise
-from qss.noise import CalibrationError
+from qss.noise import _P_HI, _P_MIN, _TOL, CalibrationError, _estimator
 
 from conftest import (
     CAL_ACHIEVED,
@@ -118,31 +121,67 @@ def test_fit_against_noiseless_target_drives_p_to_zero():
 
 
 def test_fit_rejects_unreachable_targets():
-    with pytest.raises(ValueError, match="exceeds the noiseless value"):
+    with pytest.raises(ValueError, match="exceeds 0.8410, the value at p = 1.91e-07"):
         fit_depolarizing_detail(0.95, calibration_circuit(), seed=0)
     with pytest.raises(ValueError, match="is below"):
         fit_depolarizing_detail(0.30, calibration_circuit(), seed=0)
 
 
 def test_unreachable_target_is_a_calibration_error():
-    # a compute failure, told apart from bad arguments such as too few shots
-    with pytest.raises(CalibrationError, match="exceeds the noiseless value"):
+    # a compute failure, told apart from bad arguments such as a NaN target
+    with pytest.raises(CalibrationError, match="exceeds"):
         fit_depolarizing_detail(0.95, calibration_circuit(), seed=0)
-    with pytest.raises(ValueError, match="at least 20000 shots") as info:
-        fit_depolarizing_detail(0.8, calibration_circuit(), shots=100)
+    with pytest.raises(ValueError, match="target P\\(0\\) must be finite, got nan") as info:
+        fit_depolarizing_detail(float("nan"), calibration_circuit(), seed=0)
     assert not isinstance(info.value, CalibrationError)
 
 
-def test_fit_enforces_minimum_shots():
-    with pytest.raises(ValueError, match="at least 20000 shots"):
-        fit_depolarizing_detail(0.800, calibration_circuit(), shots=4096, seed=0)
+@pytest.mark.parametrize(
+    "target, seed, message",
+    [
+        (float("inf"), 0, "target P\\(0\\) must be finite, got inf"),
+        (0.8, -1, "seed must be a 64-bit unsigned integer"),
+        (0.8, 2**64, "seed must be a 64-bit unsigned integer"),
+    ],
+)
+def test_fit_checks_target_and_seed_before_evaluating(target, seed, message, monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before the inputs were checked")
+
+    monkeypatch.setattr(qss.noise, "_estimator", no_evaluation)
+    with pytest.raises(ValueError, match=message) as info:
+        fit_depolarizing_detail(target, calibration_circuit(), seed=seed)
+    assert not isinstance(info.value, CalibrationError)
+
+
+def test_fit_takes_no_shot_count():
+    assert "shots" not in inspect.signature(fit_depolarizing_detail).parameters
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_target_that_passes_the_bracket_converges(seed):
+    # Both bounds are estimates at the ends of the bisection's reach.  The
+    # ceiling is taken at _P_MIN, not at p = 0: at seed 9 the estimates
+    # there are 0.84515 and 0.8452, and a target between them plus _TOL
+    # passed a p = 0 check but could never converge.
+    estimate = _estimator(calibration_circuit(), 0, 0.02, seed)
+    edges = (estimate(_P_MIN), estimate(0.0), estimate(_P_HI))
+    fitted = 0
+    for target in sorted({e + d for e in edges for d in (-_TOL - 1e-9, -_TOL + 1e-9, _TOL - 1e-9, _TOL + 1e-9)}):
+        try:
+            detail = fit_depolarizing_detail(target, calibration_circuit(), seed=seed)
+        except CalibrationError:
+            continue
+        assert detail.converged, target
+        fitted += 1
+    assert fitted >= 4
 
 
 def test_fit_validates_bracket_and_clbit():
     # the receiver bit is the last measurement's clbit: here clbit 0, which
     # reads 0 only by a readout flip, not clbit 1, which always reads 0
     last_reads_one = Circuit(2, 2).measure(0, 1).gate("X", 1).measure(1, 0)
-    with pytest.raises(CalibrationError, match="noiseless value 0.020000 at p_read = 0.02"):
+    with pytest.raises(CalibrationError, match="exceeds 0.0198, the value at p"):
         fit_depolarizing_detail(0.800, last_reads_one, seed=0)
     no_measure = Circuit(1, 1).gate("H", 0)
     with pytest.raises(ValueError, match="no measurement"):

@@ -18,7 +18,7 @@ from qss import (
     simulate_shots,
 )
 from qss.datasets import shipped_noise_model
-from qss.noise import _estimator
+from qss.noise import _SHOTS, _estimator
 from qss.simulate import _exact_p0, _mixed
 from qss.tomography import measurement_variant
 import qss.simulate
@@ -168,15 +168,15 @@ def test_channel_memory_cap_admits_the_bound(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fit_estimate_is_non_increasing_in_p(seed):
-    estimate = _estimator(calibration_circuit(), 0, 0.02, 20000, seed)
+    estimate = _estimator(calibration_circuit(), 0, 0.02, seed)
     grid = np.linspace(0.0, 0.2, 41)
     exact_values = [_exact_p0(calibration_circuit(), 0, NoiseModel.depolarizing(p, 0.02)) for p in grid]
     estimates = [estimate(p) for p in grid]
     assert all(a > b for a, b in zip(exact_values, exact_values[1:]))
     assert all(a >= b for a, b in zip(estimates, estimates[1:]))
-    # each estimate is a 20000-shot binomial draw about the exact value
+    # each estimate is a _SHOTS-shot binomial draw about the exact value
     for e, p0 in zip(estimates, exact_values):
-        assert abs(e - p0) <= 5.0 * np.sqrt(p0 * (1.0 - p0) / 20000)
+        assert abs(e - p0) <= 5.0 * np.sqrt(p0 * (1.0 - p0) / _SHOTS)
 
 
 # Upper 1e-5 point of the standard normal, for the chi-squared limit.
