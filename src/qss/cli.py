@@ -43,14 +43,19 @@ from .simulate import SimulationError
 from .tomography import BASES, TomographyJob, measurement_variant, run_tomography
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_seeded(p: argparse.ArgumentParser) -> None:
+    """The flags of every seeded subcommand: run, tomo and calibrate."""
     p.add_argument("--seed", type=int, default=None, help="run seed (defaults to 0)")
-    p.add_argument("--shots", type=int, default=8192)
     p.add_argument("--receiver", choices=RECEIVERS, default="charlie")
-    p.add_argument("--noise", metavar="FILE", help="noise model JSON")
     p.add_argument("--out", metavar="PATH", help="write primary output here")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--strict", action="store_true", help="error if --seed is omitted")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_seeded(p)
+    p.add_argument("--shots", type=int, default=8192)
+    p.add_argument("--noise", metavar="FILE", help="noise model JSON")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,10 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit depolarizing strength to a target receiver P(0)")
     p.add_argument("--target", type=float, default=None, help="target P(0) (default: bundled hardware value)")
     p.add_argument("--p-read", type=float, default=0.02, dest="p_read")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--receiver", choices=RECEIVERS, default="charlie")
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--strict", action="store_true")
+    _add_seeded(p)
     p.set_defaults(handler=cmd_calibrate)
 
     return parser
@@ -97,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is None:
-        if getattr(args, "strict", False):
+        if args.strict:
             raise SchemaError("--seed", "required in strict mode")
         return 0
     with _reported_at("--seed"):
@@ -106,7 +108,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _load_noise(args: argparse.Namespace):
-    if getattr(args, "noise", None) is None:
+    if args.noise is None:
         return None
     return parse_noise(read_json(args.noise))
 
@@ -187,10 +189,12 @@ def _parse_layout(spec: str, num_physical: int) -> QubitMapping:
         if not item:
             continue
         try:
-            logical, physical = item.split(":")
-            l2p[int(logical)] = int(physical)
+            logical, physical = (int(v) for v in item.split(":"))
         except ValueError as exc:
             raise SchemaError("--layout", f"bad entry {item!r}, expected L:P") from exc
+        if logical in l2p:
+            raise SchemaError("--layout", f"logical qubit {logical} is placed twice")
+        l2p[logical] = physical
     with _reported_at("--layout"):
         return QubitMapping(l2p, num_physical)
 

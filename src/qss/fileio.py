@@ -79,14 +79,6 @@ def _reported_at(path: str):
         raise SchemaError(path, str(exc)) from exc
 
 
-def _require(obj: dict, key: str, path: str) -> object:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing required key")
-    return obj[key]
-
-
 def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -95,42 +87,29 @@ def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _require_int(obj: dict, key: str, path: str) -> int:
-    v = _require(obj, key, path)
-    if not _is_int(v):
-        raise SchemaError(f"{path}.{key}", f"expected an integer, got {v!r}")
+# Each JSON field type _require checks: its test and how an error names it.
+_TYPES = {
+    "int": (_is_int, "an integer"),
+    "number": (_is_number, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "wires": (lambda v: isinstance(v, list) and all(_is_int(t) for t in v), "a list of integers"),
+}
+_OP_FIELD_TYPES = {"name": "str", "targets": "wires", "qubit": "int", "clbit": "int"}
+
+
+def _require(obj: dict, key: str, path: str, kind: str | None = None) -> object:
+    """obj[key], which must exist and, given a kind of _TYPES, have that type."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise SchemaError(f"{path}.{key}", "missing required key")
+    v = obj[key]
+    if kind is not None:
+        test, wording = _TYPES[kind]
+        if not test(v):
+            raise SchemaError(f"{path}.{key}", f"expected {wording}, got {v!r}")
     return v
-
-
-def _require_number(obj: dict, key: str, path: str) -> float:
-    v = _require(obj, key, path)
-    if not _is_number(v):
-        raise SchemaError(f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
-
-
-def _require_str(obj: dict, key: str, path: str) -> str:
-    v = _require(obj, key, path)
-    if not isinstance(v, str):
-        raise SchemaError(f"{path}.{key}", f"expected a string, got {v!r}")
-    return v
-
-
-def _require_list(obj: dict, key: str, path: str) -> list:
-    v = _require(obj, key, path)
-    if not isinstance(v, list):
-        raise SchemaError(f"{path}.{key}", f"expected a list, got {type(v).__name__}")
-    return v
-
-
-def _require_wires(obj: dict, key: str, path: str) -> tuple[int, ...]:
-    v = _require_list(obj, key, path)
-    if not all(_is_int(t) for t in v):
-        raise SchemaError(f"{path}.{key}", f"expected a list of integers, got {v!r}")
-    return tuple(v)
-
-
-_OP_FIELD_READERS = {"name": _require_str, "targets": _require_wires, "qubit": _require_int, "clbit": _require_int}
 
 
 def _parse_op(obj: object, path: str) -> CircuitOp:
@@ -140,15 +119,15 @@ def _parse_op(obj: object, path: str) -> CircuitOp:
     kind = _require(obj, "kind", path)
     if kind not in VALID_KINDS:
         raise SchemaError(path, f"unknown op kind {kind!r}")
-    fields = {name: _OP_FIELD_READERS[name](obj, name, path) for name in _OP_FIELDS[kind]}
+    fields = {name: _require(obj, name, path, _OP_FIELD_TYPES[name]) for name in _OP_FIELDS[kind]}
     with _reported_at(path):
         return CircuitOp(kind=kind, **fields)
 
 
 def parse_circuit(obj: object, path: str = "$") -> Circuit:
-    qubits = _require_int(obj, "qubits", path)
-    clbits = _require_int(obj, "clbits", path)
-    ops = _require_list(obj, "ops", path)
+    qubits = _require(obj, "qubits", path, "int")
+    clbits = _require(obj, "clbits", path, "int")
+    ops = _require(obj, "ops", path, "list")
     with _reported_at(path):
         circuit = Circuit(qubits, clbits)
     parsed = [_parse_op(op, f"{path}.ops[{i}]") for i, op in enumerate(ops)]
@@ -157,8 +136,8 @@ def parse_circuit(obj: object, path: str = "$") -> Circuit:
 
 
 def parse_coupling(obj: object, path: str = "$") -> CouplingGraph:
-    qubits = _require_int(obj, "qubits", path)
-    edges = _require_list(obj, "edges", path)
+    qubits = _require(obj, "qubits", path, "int")
+    edges = _require(obj, "edges", path, "list")
     pairs = []
     for i, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
@@ -169,10 +148,10 @@ def parse_coupling(obj: object, path: str = "$") -> CouplingGraph:
 
 
 def parse_density_matrix(obj: object, path: str = "$") -> DensityMatrix:
-    dim = _require_int(obj, "dim", path)
+    dim = _require(obj, "dim", path, "int")
     parts = []
     for key in ("re", "im"):
-        rows = _require_list(obj, key, path)
+        rows = _require(obj, key, path, "list")
         if not all(isinstance(row, list) and all(_is_number(x) for x in row) for row in rows):
             raise SchemaError(f"{path}.{key}", "expected a list of rows of numbers")
         parts.append(rows)
@@ -184,8 +163,6 @@ def parse_density_matrix(obj: object, path: str = "$") -> DensityMatrix:
 
 
 def parse_noise(obj: object, path: str = "$") -> NoiseModel:
-    p1 = _require_number(obj, "p1", path)
-    p2 = _require_number(obj, "p2", path)
-    p_read = _require_number(obj, "p_read", path)
+    p1, p2, p_read = (_require(obj, key, path, "number") for key in ("p1", "p2", "p_read"))
     with _reported_at(path):
         return NoiseModel(p1, p2, p_read)

@@ -183,21 +183,20 @@ def _path_cost(graph: CouplingGraph, path: list[int], name: str) -> int:
 
 
 def _placed(l2p: dict[int, int], num_logical: int, num_physical: int) -> QubitMapping:
-    """A new QubitMapping of l2p that places every logical qubit below num_logical."""
+    """A new QubitMapping of l2p that places exactly the logical qubits below num_logical."""
     mapping = QubitMapping(l2p, num_physical)
     for q in range(num_logical):
         if q not in mapping.l2p:
             raise ValueError(f"initial mapping does not place logical qubit {q}")
+    if len(mapping.l2p) > num_logical:
+        extra = max(mapping.l2p)
+        raise ValueError(f"initial mapping places logical qubit {extra}, the circuit has {num_logical}")
     return mapping
 
 
-def _require_terminal_measures(circuit: Circuit) -> None:
-    tail = False
-    for op in circuit.ops:
-        if op.kind in ("measure", "cond"):
-            tail = True
-        elif tail:
-            raise ValueError("measurements must be terminal for routing")
+def _head(ops: tuple[CircuitOp, ...]) -> int:
+    """Where the classical tail starts: the index of the first non-gate op."""
+    return next((i for i, op in enumerate(ops) if op.kind != "gate"), len(ops))
 
 
 def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None = None) -> TranspileReport:
@@ -207,7 +206,8 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
     shortest undirected path; the report's final layout says where each
     logical wire ended up.
     """
-    _require_terminal_measures(circuit)
+    if any(op.kind == "gate" for op in circuit.ops[_head(circuit.ops) :]):
+        raise ValueError("measurements must be terminal for routing")
     if circuit.num_qubits > graph.num_physical:
         raise ValueError(f"circuit needs {circuit.num_qubits} qubits, device has {graph.num_physical}")
     if initial is None:
@@ -284,11 +284,6 @@ class RoutingCheck:
     @property
     def ok(self) -> bool:
         return self.legal and self.equivalent
-
-
-def _head(ops: tuple[CircuitOp, ...]) -> int:
-    """Where the classical tail starts: the index of the first non-gate op."""
-    return next((i for i, op in enumerate(ops) if op.kind != "gate"), len(ops))
 
 
 def _equivalent(original: Circuit, report: TranspileReport) -> bool:

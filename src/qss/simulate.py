@@ -297,13 +297,14 @@ def _mixed(circuit: Circuit, noise: "NoiseModel") -> tuple[np.ndarray, np.ndarra
     rho[0, 0] = 1.0
     creg = np.zeros((1, circuit.num_clbits), dtype=np.int64)
     for op in circuit.ops:
+        p, _ = _op_draws(op, noise)
         if op.kind == "measure":
-            q, flip = op.qubit, noise.p_read
+            q = op.qubit
             # blocks[t] keeps the entries whose row and column bit q read t;
             # weight[r, t] is the chance that true outcome t is recorded as r
             both = ((idx >> q) & 1) + ((idx >> (n + q)) & 1)
             blocks = np.array((both == 0, both == 2), dtype=float)
-            weight = np.array(((1.0 - flip, flip), (flip, 1.0 - flip)))
+            weight = np.array(((1.0 - p, p), (p, 1.0 - p)))
             trace = rho[:, :: 2**n + 1].real
             outcome = ((np.arange(2**n) >> q) & 1).astype(bool)
             p_true = np.array((trace[:, ~outcome].sum(axis=1), trace[:, outcome].sum(axis=1)))
@@ -322,7 +323,6 @@ def _mixed(circuit: Circuit, noise: "NoiseModel") -> tuple[np.ndarray, np.ndarra
         u = gate(op.name).matrix
         block = apply_unitary(rho[rows], u, op.targets, 2 * n)
         block = apply_unitary(block, u.conj(), tuple(n + q for q in op.targets), 2 * n)
-        p = noise.p1 if len(op.targets) == 1 else noise.p2
         if p > 0.0:
             for q in op.targets:
                 _depolarize(block, q, p, n)

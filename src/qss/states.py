@@ -21,6 +21,8 @@ def _num_qubits_for(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
+    if n > MAX_QUBITS:
+        raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
     return n
 
 
@@ -32,9 +34,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
-        n = _num_qubits_for(a.size)
-        if n > MAX_QUBITS:
-            raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
+        _num_qubits_for(a.size)
         if not np.all(np.isfinite(a.view(float))):
             raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(a))
@@ -165,9 +165,7 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        n = _num_qubits_for(m.shape[0])
-        if n > MAX_QUBITS:
-            raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
+        _num_qubits_for(m.shape[0])
         _check_hermitian(m, "density matrix")
         with np.errstate(over="ignore"):  # an overflowed trace is inf, and fails below
             tr = complex(np.trace(m))

@@ -88,6 +88,14 @@ INPUT_ERRORS = {
         ["fidelity", "{tmp}/overflow.json", "{tmp}/half.json"],
         "$: density matrix must be finite",
     ),
+    "transpile-layout-repeated-logical": (
+        ["transpile", "{tmp}/pair.json", "--layout", "0:1,1:2,0:3"],
+        "--layout: logical qubit 0 is placed twice",
+    ),
+    "transpile-layout-unknown-logical": (
+        ["transpile", "{tmp}/pair.json", "--layout", "0:1,1:2,7:3"],
+        "initial mapping places logical qubit 7, the circuit has 2",
+    ),
 }
 
 # Runs that must succeed, then runtime failures (exit 1), then argparse's
@@ -128,8 +136,6 @@ ENTRIES = {
     "run-strict": ["run", "--strict"],
     "calibrate-strict": ["calibrate", "--strict", "--target", "0.8"],
     **{name: argv for name, (argv, _) in INPUT_ERRORS.items()},
-    "transpile-layout-repeated-logical": ["transpile", "{tmp}/pair.json", "--layout", "0:1,1:2,0:3"],
-    "transpile-layout-unknown-logical": ["transpile", "{tmp}/pair.json", "--layout", "0:1,1:2,7:3"],
     "transpile-absent-circuit": ["transpile", "{tmp}/absent.json"],
     "transpile-absent-coupling": ["transpile", "{tmp}/coherent.json", "--coupling", "{tmp}/absent.json"],
     "calibrate-target-above-ceiling": ["calibrate", "--target", "0.95", "--seed", "0"],

@@ -166,6 +166,25 @@ def test_parse_circuit_rejects_non_integer_wires(op, path):
 
 
 @pytest.mark.parametrize(
+    "parse, obj, path, message",
+    [
+        (parse_circuit, {"qubits": 2.0, "clbits": 0, "ops": []}, "$.qubits", "expected an integer, got 2.0"),
+        (parse_noise, {"p1": "0.1", "p2": 0, "p_read": 0}, "$.p1", "expected a number, got '0.1'"),
+        (parse_circuit, _one_op({"kind": "gate", "name": None, "targets": [0]}), "$.ops[1].name",
+         "expected a string, got None"),
+        (parse_coupling, {"qubits": 2, "edges": {}}, "$.edges", "expected a list, got {}"),
+        (parse_circuit, _one_op({"kind": "gate", "name": "X", "targets": "0"}), "$.ops[1].targets",
+         "expected a list of integers, got '0'"),
+    ],
+    ids=["integer", "number", "string", "list", "list of integers"],
+)
+def test_each_field_type_names_its_path_and_expected_type(parse, obj, path, message):
+    with pytest.raises(SchemaError) as info:
+        parse(obj)
+    assert (info.value.path, str(info.value)) == (path, f"{path}: {message}")
+
+
+@pytest.mark.parametrize(
     "op, path",
     [
         ({"name": "X", "targets": [0]}, "$.ops[1].kind"),

@@ -50,6 +50,8 @@ def test_validation_rejects_bad_states():
     amps[0] = 1.0
     with pytest.raises(ValueError, match="exceeds the 8-qubit limit"):
         StateVector(amps)
+    with pytest.raises(ValueError, match="^9 qubits exceeds the 8-qubit limit$"):
+        DensityMatrix(np.eye(2**9, dtype=complex) / 2**9)
 
 
 def test_amplitudes_are_read_only():
