@@ -190,7 +190,7 @@ def _placed(l2p: dict[int, int], num_logical: int, num_physical: int) -> QubitMa
             raise ValueError(f"initial mapping does not place logical qubit {q}")
     if len(mapping.l2p) > num_logical:
         extra = max(mapping.l2p)
-        raise ValueError(f"initial mapping places logical qubit {extra}, the circuit has {num_logical}")
+        raise ValueError(f"initial mapping places logical qubit {extra}, but the circuit has {num_logical} qubits")
     return mapping
 
 

@@ -33,6 +33,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 
@@ -46,6 +47,7 @@ GOLDEN = Path(__file__).with_name("golden")
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 PLACEHOLDER = "{tmp}"
 FLOAT_TOL = 1e-12
+NUMPY, PYTHON = np.__version__, "{}.{}".format(*sys.version_info[:2])
 
 # ValueErrors that a valid command line with schema-valid files can reach.
 # Each names an input the user can fix, so each is a usage error: exit 2,
@@ -94,7 +96,7 @@ INPUT_ERRORS = {
     ),
     "transpile-layout-unknown-logical": (
         ["transpile", "{tmp}/pair.json", "--layout", "0:1,1:2,7:3"],
-        "initial mapping places logical qubit 7, the circuit has 2",
+        "initial mapping places logical qubit 7, but the circuit has 2 qubits",
     ),
 }
 
@@ -179,26 +181,13 @@ def write_inputs(tmp: Path) -> None:
     shutil.copyfile(datasets.data_file_path("ibmqx4_calibration.json"), tmp / "noise.json")
 
 
-@contextlib.contextmanager
-def _columns():
-    """argparse wraps help to $COLUMNS; pin it so help text is one width."""
-    before = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        yield
-    finally:
-        if before is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = before
-
-
 def run_entry(argv: list[str], tmp: Path) -> dict:
     """Run one argument list in-process: its exit code and its outputs, with
     the temporary directory replaced by the placeholder."""
     out, err = io.StringIO(), io.StringIO()
     args = [a.replace(PLACEHOLDER, str(tmp)) for a in argv]
-    with _columns(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps help text to $COLUMNS
+    with patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)
     streams = {"stdout": out.getvalue(), "stderr": err.getvalue(), "out": ""}
     if "--out" in argv:
@@ -282,8 +271,8 @@ def regenerate() -> None:
     for path in demo_paths():
         _write(f"demo-{path.stem}", "stdout", run_demo(path))
     head = {
-        "numpy": np.__version__,
-        "python": "{}.{}".format(*sys.version_info[:2]),
+        "numpy": NUMPY,
+        "python": PYTHON,
         "demos": [path.name for path in demo_paths()],
     }
     # one line per entry, so a changed exit code is a one-line diff

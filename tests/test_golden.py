@@ -1,16 +1,24 @@
 """The golden output manifest: every recorded command line and demo still
 prints its recorded output (see golden.py for the comparison rules)."""
 
-import sys
-
-import numpy as np
 import pytest
 
-from golden import ENTRIES, demo_paths, load_manifest, recorded, run_demo, run_entry, same_parsed, write_inputs
+from golden import (
+    ENTRIES,
+    NUMPY,
+    PYTHON,
+    demo_paths,
+    load_manifest,
+    recorded,
+    run_demo,
+    run_entry,
+    same_parsed,
+    write_inputs,
+)
 
 MANIFEST = load_manifest()
-SAME_NUMPY = MANIFEST["numpy"] == np.__version__
-SAME_PYTHON = MANIFEST["python"] == "{}.{}".format(*sys.version_info[:2])
+SAME_NUMPY = MANIFEST["numpy"] == NUMPY
+SAME_PYTHON = MANIFEST["python"] == PYTHON
 
 
 def assert_recorded(expected, actual):

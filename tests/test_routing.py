@@ -308,26 +308,18 @@ def test_route_keeps_terminal_measures(ibmqx4):
 
 
 def test_route_rejects_mid_circuit_measurement(ibmqx4):
-    c = Circuit(2, 1).measure(0, 0).gate("H", 1)
-    with pytest.raises(ValueError, match="terminal"):
-        route(c, ibmqx4)
-
-
-def test_route_rejects_a_gate_after_a_cond(ibmqx4):
-    # The classical tail starts at the first measurement or cond, and holds
-    # no plain gate: route and check_routing split a circuit at one point.
-    c = Circuit(2, 1).measure(0, 0).cond("X", 1, 0).gate("H", 1)
-    with pytest.raises(ValueError, match="^measurements must be terminal for routing$"):
-        route(c, ibmqx4)
-    tail = Circuit(2, 1).measure(0, 0).cond("X", 1, 0).cond("H", 0, 0)
-    assert check_routing(tail, route(tail, ibmqx4), ibmqx4).ok
+    # The classical tail starts at the first measurement or cond, and a
+    # plain gate after either is refused.
+    for c in (Circuit(2, 1).measure(0, 0).gate("H", 1), Circuit(2, 1).measure(0, 0).cond("X", 1, 0).gate("H", 1)):
+        with pytest.raises(ValueError, match="^measurements must be terminal for routing$"):
+            route(c, ibmqx4)
 
 
 def test_a_layout_places_exactly_the_circuits_qubits(ibmqx4):
     # A logical qubit the circuit does not have is refused by route, and a
     # hand-built report that places one is not equivalent.
     c = Circuit(2, 0).gate("CNOT", 0, 1)
-    with pytest.raises(ValueError, match="^initial mapping places logical qubit 7, the circuit has 2$"):
+    with pytest.raises(ValueError, match="^initial mapping places logical qubit 7, but the circuit has 2 qubits$"):
         route(c, ibmqx4, QubitMapping({0: 1, 1: 2, 7: 3}, 5))
     report = route(c, ibmqx4, QubitMapping({0: 1, 1: 2}, 5))
     assert check_routing(c, report, ibmqx4).ok
