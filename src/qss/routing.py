@@ -92,14 +92,6 @@ class QubitMapping:
     def identity(cls, num_logical: int, num_physical: int) -> "QubitMapping":
         return cls({q: q for q in range(num_logical)}, num_physical)
 
-    def physical(self, logical: int) -> int:
-        return self.l2p[logical]
-
-    def swap_physical(self, pa: int, pb: int) -> None:
-        """Record that a SWAP exchanged two physical wires."""
-        swapped = {pa: pb, pb: pa}
-        self.l2p = {q: swapped.get(p, p) for q, p in self.l2p.items()}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QubitMapping):
             return NotImplemented
@@ -135,24 +127,16 @@ class TranspileReport:
         }
 
 
-def _reversed_cnot(control: int, target: int, like: CircuitOp | None = None) -> list[CircuitOp]:
-    """CNOT(control -> target) through the opposite orientation: H(control),
-    H(target), CNOT(target -> control), H(control), H(target); unitary-equal
-    to the requested CNOT.  Each op takes its kind and clbit from `like`,
-    and is a plain gate when `like` is omitted."""
-    kind, clbit = (like.kind, like.clbit) if like else ("gate", None)
-    steps = (("H", (control,)), ("H", (target,)), ("CNOT", (target, control)), ("H", (control,)), ("H", (target,)))
-    return [CircuitOp(kind=kind, name=name, targets=targets, clbit=clbit) for name, targets in steps]
-
-
 def _cnot(graph: CouplingGraph, control: int, target: int, like: CircuitOp | None = None) -> list[CircuitOp]:
     """CNOT(control -> target) in ops the graph runs: the native CNOT, else
-    _reversed_cnot.  Each op takes its kind and clbit from `like`."""
-    if not graph.allows(control, target):
-        return _reversed_cnot(control, target, like)
-    if like is None:
-        return [CircuitOp(kind="gate", name="CNOT", targets=(control, target))]
-    return [replace(like, name="CNOT", targets=(control, target))]
+    H(control), H(target), CNOT(target -> control), H(control), H(target).
+    Each op takes its kind and clbit from `like`, else is a plain gate."""
+    kind, clbit = (like.kind, like.clbit) if like else ("gate", None)
+    if graph.allows(control, target):
+        steps = (("CNOT", (control, target)),)
+    else:
+        steps = (("H", (control,)), ("H", (target,)), ("CNOT", (target, control)), ("H", (control,)), ("H", (target,)))
+    return [CircuitOp(kind=kind, name=name, targets=targets, clbit=clbit) for name, targets in steps]
 
 
 def decompose_swap(a: int, b: int, graph: CouplingGraph) -> list[CircuitOp]:
@@ -182,53 +166,64 @@ def _path_cost(graph: CouplingGraph, path: list[int], name: str) -> int:
     return cost
 
 
-def _placed(l2p: dict[int, int], num_logical: int, num_physical: int) -> QubitMapping:
-    """A new QubitMapping of l2p that places exactly the logical qubits below num_logical."""
-    mapping = QubitMapping(l2p, num_physical)
+def _placed(l2p: dict[int, int], num_logical: int, num_physical: int) -> dict[int, int]:
+    """The checked l2p of a QubitMapping that places exactly the logical qubits below num_logical."""
+    l2p = QubitMapping(l2p, num_physical).l2p
     for q in range(num_logical):
-        if q not in mapping.l2p:
+        if q not in l2p:
             raise ValueError(f"initial mapping does not place logical qubit {q}")
-    if len(mapping.l2p) > num_logical:
-        extra = max(mapping.l2p)
-        raise ValueError(f"initial mapping places logical qubit {extra}, but the circuit has {num_logical} qubits")
-    return mapping
+    if len(l2p) > num_logical:
+        raise ValueError(f"initial mapping places logical qubit {max(l2p)}, but the circuit has {num_logical} qubits")
+    return l2p
 
 
-def _head(ops: tuple[CircuitOp, ...]) -> int:
-    """Where the classical tail starts: the index of the first non-gate op."""
-    return next((i for i, op in enumerate(ops) if op.kind != "gate"), len(ops))
+def _split(ops: tuple[CircuitOp, ...]) -> tuple[list[CircuitOp], list[CircuitOp]]:
+    """The gates, then the measurements and conds, each in program order.
+
+    A gate after a measurement or cond moves ahead of it when it acts on
+    none of the wires the tail has touched so far, since it commutes with
+    them; a gate on such a wire raises."""
+    i = next((i for i, op in enumerate(ops) if op.kind != "gate"), len(ops))
+    gates, tail, touched = list(ops[:i]), [], set()
+    for op in ops[i:]:
+        if op.kind != "gate":
+            tail.append(op)
+            touched.update((op.qubit,) if op.kind == "measure" else op.targets)
+        elif touched.isdisjoint(op.targets):
+            gates.append(op)
+        else:
+            raise ValueError("measurements must be terminal for routing")
+    return gates, tail
 
 
 def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None = None) -> TranspileReport:
     """Rewrite a circuit so every two-qubit op sits on a native directed edge.
 
+    The gates go first, then the measurements and conds (see _split).
     Distant operand pairs are joined by swapping the first operand along a
     shortest undirected path; the report's final layout says where each
     logical wire ended up.
     """
-    if any(op.kind == "gate" for op in circuit.ops[_head(circuit.ops) :]):
-        raise ValueError("measurements must be terminal for routing")
+    gates, tail = _split(circuit.ops)
     if circuit.num_qubits > graph.num_physical:
         raise ValueError(f"circuit needs {circuit.num_qubits} qubits, device has {graph.num_physical}")
     if initial is None:
-        mapping = QubitMapping.identity(circuit.num_qubits, graph.num_physical)
-    elif initial.num_physical != graph.num_physical:
+        initial = QubitMapping.identity(circuit.num_qubits, graph.num_physical)
+    if initial.num_physical != graph.num_physical:
         raise ValueError(f"initial mapping covers {initial.num_physical} physical qubits, device has {graph.num_physical}")
-    else:
-        mapping = _placed(initial.l2p, circuit.num_qubits, graph.num_physical)
+    l2p = initial_layout = _placed(initial.l2p, circuit.num_qubits, graph.num_physical)
 
-    initial_layout = dict(mapping.l2p)
     emitted: list[CircuitOp] = []
     swaps = reversals = 0
-    for op in circuit.ops:
+    for op in gates + tail:
         if op.kind == "measure":
-            emitted.append(replace(op, qubit=mapping.physical(op.qubit)))
+            emitted.append(replace(op, qubit=l2p[op.qubit]))
             continue
         if len(op.targets) == 1:
-            emitted.append(replace(op, targets=(mapping.physical(op.targets[0]),)))
+            emitted.append(replace(op, targets=(l2p[op.targets[0]],)))
             continue
 
-        pc, pt = (mapping.physical(q) for q in op.targets)
+        pc, pt = (l2p[q] for q in op.targets)
         if not graph.has_link(pc, pt):
             if op.kind == "cond":
                 raise ValueError("cannot route a conditioned two-qubit gate over non-adjacent wires")
@@ -237,10 +232,10 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
             for i in range(len(path) - 2):
                 u, v = _oriented(graph, path[i], path[i + 1])
                 emitted += decompose_swap(u, v, graph)
-                mapping.swap_physical(u, v)
+                l2p = {q: {u: v, v: u}.get(p, p) for q, p in l2p.items()}
                 swaps += 1
                 reversals += _swap_flip_count(graph, u, v)
-            pc, pt = (mapping.physical(q) for q in op.targets)
+            pc, pt = (l2p[q] for q in op.targets)
 
         if op.name == "CNOT":
             emitted += _cnot(graph, pc, pt, op)
@@ -258,7 +253,7 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
     return TranspileReport(
         circuit=Circuit(graph.num_physical, circuit.num_clbits, emitted),
         initial_layout=initial_layout,
-        final_layout=dict(mapping.l2p),
+        final_layout=dict(l2p),
         swaps=swaps,
         reversals=reversals,
     )
@@ -287,20 +282,20 @@ class RoutingCheck:
 
 
 def _equivalent(original: Circuit, report: TranspileReport) -> bool:
-    n, p, routed = original.num_qubits, report.circuit.num_qubits, report.circuit.ops
+    n, p = original.num_qubits, report.circuit.num_qubits
     if report.circuit.num_clbits != original.num_clbits:
         return False
     try:
-        initial, final = (_placed(layout, n, p).l2p for layout in (report.initial_layout, report.final_layout))
+        initial, final = (_placed(layout, n, p) for layout in (report.initial_layout, report.final_layout))
+        (gates, ops), (routed_gates, routed_ops) = _split(original.ops), _split(report.circuit.ops)
     except ValueError:
         return False
-    i, j = _head(original.ops), _head(routed)
-    u_orig = _unitary(original.ops[:i], n)
-    evolved = _unitary(routed[:j], p, _embedding(initial, n, p))
+    u_orig = _unitary(gates, n)
+    evolved = _unitary(routed_gates, p, _embedding(initial, n, p))
     if not matrices_equal_up_to_phase(evolved, _embedding(final, n, p) @ u_orig):
         return False
-    tail = iter(routed[j:])
-    for op in original.ops[i:]:
+    tail = iter(routed_ops)
+    for op in ops:
         if op.kind == "measure":
             if next(tail, None) != replace(op, qubit=final[op.qubit]):
                 return False
@@ -325,16 +320,17 @@ def check_routing(original: Circuit, report: TranspileReport, graph: CouplingGra
     Legality needs the routed circuit to fit the device and inspects every
     two-qubit op in it.  Equivalence needs equal register widths and both
     layouts to pass route's rule for an initial mapping.  Each circuit
-    splits at its first measurement or cond.  The routed gates before it
-    must take each column of the initial embedding to the final embedding
-    composed with the original's gates, up to one global phase and within
-    ATOL_EVOLUTION; only those 2**n columns are evolved, so any device route
-    accepts works.  The tails are then walked op by op: each routed
-    measurement must be the original's with its qubit moved by the final
-    layout, and each original cond must match the shortest run of routed
-    conds on its clbit whose product, as if fired, is the cond on its moved
-    wires up to phase (so a reversed cond CNOT matches its five ops).  A
-    routed gate in the tail, or a routed op left over, is not equivalent.
+    splits per wire into its gates, then its measurements and conds, as
+    route splits it (_split).  The routed gates must take each column of the
+    initial embedding to the final embedding composed with the original's
+    gates, up to one global phase and within ATOL_EVOLUTION; only those
+    2**n columns are evolved, so any device route accepts works.  The tails
+    are then walked op by op: each routed measurement must be the
+    original's with its qubit moved by the final layout, and each original
+    cond must match the shortest run of routed conds on its clbit whose
+    product, as if fired, is the cond on its moved wires up to phase (so a
+    reversed cond CNOT matches its five ops).  A gate on a wire that the
+    tail touched before it, or a routed op left over, is not equivalent.
     """
     violations = []
     if report.circuit.num_qubits > graph.num_physical:

@@ -125,6 +125,7 @@ ENTRIES = {
     "transpile-coherent": ["transpile", "{tmp}/coherent.json"],
     "transpile-coherent-check": ["transpile", "{tmp}/coherent.json", "--check"],
     "transpile-feedforward-check-out": ["transpile", "{tmp}/feedforward.json", "--check", "--out", "{tmp}/route.json"],
+    "transpile-sampled-check": ["transpile", "{tmp}/sampled.json", "--check"],
     "transpile-layout": ["transpile", "{tmp}/coherent.json", "--layout", "0:4,1:3,2:2,3:1", "--check"],
     "transpile-line-coupling": ["transpile", "{tmp}/far.json", "--coupling", "{tmp}/line.json", "--check"],
     "fidelity": ["fidelity", "{tmp}/secret.json", "{tmp}/hw.json"],
@@ -161,6 +162,8 @@ def write_inputs(tmp: Path) -> None:
         "mid": Circuit(2, 1).measure(0, 0).gate("H", 0).to_json(),
         "pair": Circuit(2, 0).gate("CNOT", 0, 1).to_json(),
         "coherent": assemble_circuit(ProtocolConfig(mode="coherent")).to_json(),
+        # Charlie's feedforward circuit, whose partner H follows two measurements
+        "sampled": assemble_circuit(ProtocolConfig()).to_json(),
         # a measured tail with conds, one of them a CNOT that routing reverses
         "feedforward": Circuit(4, 2).gate("H", 0).gate("CNOT", 0, 3).measure(0, 0).measure(3, 1)
         .cond("X", 2, 0).cond("CNOT", (1, 2), 1).to_json(),

@@ -11,13 +11,16 @@ from qss import (
     Circuit,
     CircuitOp,
     CouplingGraph,
+    ProtocolConfig,
     QubitMapping,
+    assemble_circuit,
     check_routing,
     decompose_swap,
+    exact_distribution,
     route,
 )
 from qss.fileio import parse_circuit, parse_coupling
-from qss.routing import _reversed_cnot
+from qss.routing import _cnot
 
 import oracles
 from test_states import GATE_POOL_1Q, random_op_sequence
@@ -148,9 +151,7 @@ def test_mapping_validation_and_swap():
     with pytest.raises(ValueError, match="out of range"):
         QubitMapping({0: 5}, 3)
     m = QubitMapping.identity(2, 4)
-    m.swap_physical(0, 3)
-    assert m.physical(0) == 3 and m.physical(1) == 1
-    assert m.to_json() == {"0": 3, "1": 1}
+    assert m.to_json() == {"0": 0, "1": 1}
 
 
 @pytest.mark.parametrize(
@@ -184,7 +185,8 @@ def test_routing_types_store_numpy_wires_as_plain_ints():
 
 
 def test_reverse_control_sequence_and_unitary():
-    ops = _reversed_cnot(0, 1)
+    # Only the reverse edge 1 -> 0 exists, so CNOT(0 -> 1) is flipped.
+    ops = _cnot(CouplingGraph(2, ((1, 0),)), 0, 1)
     assert [(op.name, op.targets) for op in ops] == [
         ("H", (0,)),
         ("H", (1,)),
@@ -308,11 +310,91 @@ def test_route_keeps_terminal_measures(ibmqx4):
 
 
 def test_route_rejects_mid_circuit_measurement(ibmqx4):
-    # The classical tail starts at the first measurement or cond, and a
-    # plain gate after either is refused.
-    for c in (Circuit(2, 1).measure(0, 0).gate("H", 1), Circuit(2, 1).measure(0, 0).cond("X", 1, 0).gate("H", 1)):
+    # A plain gate on a wire that an earlier measurement or cond touched is
+    # refused.
+    for c in (
+        Circuit(2, 1).measure(0, 0).gate("H", 0),
+        Circuit(2, 1).measure(0, 0).cond("X", 1, 0).gate("H", 1),
+        Circuit(3, 1).measure(0, 0).gate("CNOT", 2, 0),
+    ):
         with pytest.raises(ValueError, match="^measurements must be terminal for routing$"):
             route(c, ibmqx4)
+
+
+def test_route_moves_a_gate_past_measurements_on_other_wires(ibmqx4):
+    # A gate on a wire no measurement or cond has touched commutes with
+    # them, so the routed circuit runs it first.
+    c = Circuit(2, 1).measure(0, 0).gate("H", 1)
+    report = route(c, ibmqx4)
+    assert report.circuit.ops == (CircuitOp("gate", "H", (1,)), CircuitOp("measure", qubit=0, clbit=0))
+    assert check_routing(c, report, ibmqx4).ok
+
+
+@pytest.mark.parametrize("receiver", ["charlie", "bob"])
+def test_feedforward_protocol_routes_onto_ibmqx4(ibmqx4, receiver):
+    # The sampled protocol circuit measures two wires before the partner's
+    # H on a third; it routes with no SWAP and no reversal.
+    c = assemble_circuit(ProtocolConfig(receiver=receiver))
+    report = route(c, ibmqx4)
+    assert (len(report.circuit.ops), report.swaps, report.reversals) == (15, 0, 0)
+    assert check_routing(c, report, ibmqx4).ok
+    ops = report.circuit.ops
+    cond = next(i for i, op in enumerate(ops) if op.kind == "cond")
+    pauli = dataclasses.replace(ops[cond], name={"X": "Z", "Z": "X"}[ops[cond].name])
+    measure = next(i for i, op in enumerate(ops) if op.kind == "measure")
+    moved = dataclasses.replace(ops[measure], qubit=report.final_layout[ProtocolConfig(receiver=receiver).receiver_wire])
+    after = CircuitOp("gate", "H", (ops[measure].qubit,))
+    for bad in (
+        ops[:cond] + (pauli,) + ops[cond + 1 :],
+        ops[:measure] + (moved,) + ops[measure + 1 :],
+        ops + (after,),
+    ):
+        result = check_routing(c, dataclasses.replace(report, circuit=Circuit(5, 3, bad)), ibmqx4)
+        assert result.legal and not result.equivalent, bad
+
+
+def test_routing_keeps_the_register_law_of_measure_cond_circuits(ibmqx4):
+    # Seeded circuits that interleave gates with measurements and conds,
+    # each gate on wires no earlier measurement or cond touched.  The routed
+    # circuit runs every gate first, yet its exact register distribution is
+    # the original's.
+    rng = np.random.default_rng(2025)
+    moved = 0
+    for trial in range(60):
+        g = ibmqx4 if trial % 2 else CouplingGraph(5, tuple(random_coupling(rng, 5)))
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, n + 1))
+        c, free = Circuit(n, m), list(range(n))
+        for clbit in range(m + 1):
+            if free:
+                for name, targets in random_op_sequence(rng, len(free), int(rng.integers(0, 5))):
+                    c.gate(name, *(free[t] for t in targets))
+                    moved += clbit > 0
+            if clbit == m:
+                break
+            q, t = (int(w) for w in rng.integers(n, size=2))
+            c.measure(q, clbit)
+            if rng.random() < 0.6:
+                c.cond(GATE_POOL_1Q[int(rng.integers(len(GATE_POOL_1Q)))], (t,), int(rng.integers(clbit + 1)))
+                free = [w for w in free if w != t]
+            free = [w for w in free if w != q]
+        report = route(c, g)
+        assert check_routing(c, report, g).ok, trial
+        want, got = exact_distribution(c), exact_distribution(report.circuit)
+        for key in want.keys() | got.keys():
+            assert abs(want.get(key, 0.0) - got.get(key, 0.0)) <= 1e-12, (trial, key)
+    assert moved >= 60, moved
+
+
+def test_route_default_layout_is_the_identity_mapping(ibmqx4):
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        c = Circuit(n, 1)
+        for name, targets in random_op_sequence(rng, n, int(rng.integers(0, 10))):
+            c.gate(name, *targets)
+        c.measure(int(rng.integers(n)), 0).cond("X", int(rng.integers(n)), 0)
+        assert route(c, ibmqx4) == route(c, ibmqx4, QubitMapping.identity(n, ibmqx4.num_physical))
 
 
 def test_a_layout_places_exactly_the_circuits_qubits(ibmqx4):
