@@ -183,9 +183,8 @@ def _split(ops: tuple[CircuitOp, ...]) -> tuple[list[CircuitOp], list[CircuitOp]
     A gate after a measurement or cond moves ahead of it when it acts on
     none of the wires the tail has touched so far, since it commutes with
     them; a gate on such a wire raises."""
-    i = next((i for i, op in enumerate(ops) if op.kind != "gate"), len(ops))
-    gates, tail, touched = list(ops[:i]), [], set()
-    for op in ops[i:]:
+    gates, tail, touched = [], [], set()
+    for op in ops:
         if op.kind != "gate":
             tail.append(op)
             touched.update((op.qubit,) if op.kind == "measure" else op.targets)
