@@ -4,7 +4,7 @@ modes, directed-coupling routing, single-qubit tomography, depolarizing
 noise with calibration, and Uhlmann fidelity."""
 
 from .circuit import Circuit, CircuitOp, Counts, RunConfig
-from .fidelity import fidelity, psd_sqrt, pure_state_fidelity, purity
+from .fidelity import fidelity, psd_sqrt, pure_state_fidelity
 from .gates import GATES, GateMatrix, gate
 from .noise import NoiseModel, fit_depolarizing_detail
 from .protocol import (
@@ -87,7 +87,6 @@ __all__ = [
     "project_to_physical",
     "psd_sqrt",
     "pure_state_fidelity",
-    "purity",
     "receiver_p0",
     "route",
     "run_protocol",

@@ -25,12 +25,6 @@ def _as_matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     return m
 
 
-def purity(rho: DensityMatrix | np.ndarray) -> float:
-    """Tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
-    m = _as_matrix(rho)
-    return float(np.trace(m @ m).real)
-
-
 def _clipped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(m)
     if vals.min() < -EIG_FLOOR:

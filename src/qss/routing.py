@@ -11,6 +11,7 @@ lexicographically smallest path, so routing is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,16 +128,26 @@ class TranspileReport:
         }
 
 
-def _cnot(graph: CouplingGraph, control: int, target: int, like: CircuitOp | None = None) -> list[CircuitOp]:
+@lru_cache(maxsize=1024)  # 11 names x 64 tuples on 8 wires fit; capped, as a wider device fails after routing
+def _gate_op(name: str, targets: tuple[int, ...]) -> CircuitOp:
+    """The gate op of name on targets, checked once and then shared, as it is frozen."""
+    return CircuitOp(kind="gate", name=name, targets=targets)
+
+
+def _routed_op(name: str, targets: tuple[int, ...], clbit: int | None) -> CircuitOp:
+    """A shared gate op, or a new cond on clbit, as clbits are unbounded."""
+    return _gate_op(name, targets) if clbit is None else CircuitOp("cond", name, targets, clbit=clbit)
+
+
+def _cnot(graph: CouplingGraph, control: int, target: int, clbit: int | None = None) -> list[CircuitOp]:
     """CNOT(control -> target) in ops the graph runs: the native CNOT, else
     H(control), H(target), CNOT(target -> control), H(control), H(target).
-    Each op takes its kind and clbit from `like`, else is a plain gate."""
-    kind, clbit = (like.kind, like.clbit) if like else ("gate", None)
+    Each op is a cond on clbit, or a plain gate when clbit is None."""
     if graph.allows(control, target):
         steps = (("CNOT", (control, target)),)
     else:
         steps = (("H", (control,)), ("H", (target,)), ("CNOT", (target, control)), ("H", (control,)), ("H", (target,)))
-    return [CircuitOp(kind=kind, name=name, targets=targets, clbit=clbit) for name, targets in steps]
+    return [_routed_op(name, targets, clbit) for name, targets in steps]
 
 
 def decompose_swap(a: int, b: int, graph: CouplingGraph) -> list[CircuitOp]:
@@ -216,10 +227,10 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
     swaps = reversals = 0
     for op in gates + tail:
         if op.kind == "measure":
-            emitted.append(replace(op, qubit=l2p[op.qubit]))
+            emitted.append(CircuitOp(kind="measure", qubit=l2p[op.qubit], clbit=op.clbit))
             continue
         if len(op.targets) == 1:
-            emitted.append(replace(op, targets=(l2p[op.targets[0]],)))
+            emitted.append(_routed_op(op.name, (l2p[op.targets[0]],), op.clbit))
             continue
 
         pc, pt = (l2p[q] for q in op.targets)
@@ -237,15 +248,15 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
             pc, pt = (l2p[q] for q in op.targets)
 
         if op.name == "CNOT":
-            emitted += _cnot(graph, pc, pt, op)
+            emitted += _cnot(graph, pc, pt, op.clbit)
             reversals += not graph.allows(pc, pt)
         elif op.name == "CZ":
-            emitted.append(replace(op, targets=_oriented(graph, pc, pt)))
+            emitted.append(_routed_op(op.name, _oriented(graph, pc, pt), op.clbit))
         elif op.name == "SWAP":
             # A SWAP from the source circuit is a logical gate, not a
             # mapping move: emit it on the (now adjacent) pair and leave
             # the layout alone.
-            emitted.append(replace(op, targets=(pc, pt)))
+            emitted.append(_routed_op(op.name, (pc, pt), op.clbit))
         else:
             raise ValueError(f"unsupported two-qubit gate {op.name}")
 
@@ -256,17 +267,6 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
         swaps=swaps,
         reversals=reversals,
     )
-
-
-def _embedding(layout: dict[int, int], num_logical: int, num_physical: int) -> np.ndarray:
-    """Isometry placing logical basis states on their physical wires."""
-    codes = np.arange(2**num_logical)
-    p_codes = np.zeros_like(codes)
-    for q in range(num_logical):
-        p_codes |= ((codes >> q) & 1) << layout[q]
-    e = np.zeros((2**num_physical, 2**num_logical), dtype=complex)
-    e[p_codes, codes] = 1.0
-    return e
 
 
 @dataclass(frozen=True)
@@ -289,9 +289,13 @@ def _equivalent(original: Circuit, report: TranspileReport) -> bool:
         (gates, ops), (routed_gates, routed_ops) = _split(original.ops), _split(report.circuit.ops)
     except ValueError:
         return False
-    u_orig = _unitary(gates, n)
-    evolved = _unitary(routed_gates, p, _embedding(initial, n, p))
-    if not matrices_equal_up_to_phase(evolved, _embedding(final, n, p) @ u_orig):
+    basis = np.arange(2**n)
+    placed, moved = (sum(((basis >> q) & 1) << w for q, w in layout.items()) for layout in (initial, final))
+    start = np.zeros((2**n, 2**p), dtype=complex)
+    start[basis, placed] = 1.0
+    expected = np.zeros((2**p, 2**n), dtype=complex)
+    expected[moved] = _unitary(gates, n)
+    if not matrices_equal_up_to_phase(_unitary(routed_gates, p, start.T), expected):
         return False
     tail = iter(routed_ops)
     for op in ops:
@@ -320,16 +324,17 @@ def check_routing(original: Circuit, report: TranspileReport, graph: CouplingGra
     two-qubit op in it.  Equivalence needs equal register widths and both
     layouts to pass route's rule for an initial mapping.  Each circuit
     splits per wire into its gates, then its measurements and conds, as
-    route splits it (_split).  The routed gates must take each column of the
-    initial embedding to the final embedding composed with the original's
-    gates, up to one global phase and within ATOL_EVOLUTION; only those
-    2**n columns are evolved, so any device route accepts works.  The tails
-    are then walked op by op: each routed measurement must be the
-    original's with its qubit moved by the final layout, and each original
-    cond must match the shortest run of routed conds on its clbit whose
-    product, as if fired, is the cond on its moved wires up to phase (so a
-    reversed cond CNOT matches its five ops).  A gate on a wire that the
-    tail touched before it, or a routed op left over, is not equivalent.
+    route splits it (_split).  The routed gates must take each logical basis
+    state, placed by index on its initial layout's physical code, to the
+    original gates' image of it placed on the final layout's codes, up to
+    one global phase and within ATOL_EVOLUTION; only those 2**n columns are
+    evolved, so any device route accepts works.  The tails are then walked
+    op by op: each routed measurement must be the original's with its qubit
+    moved by the final layout, and each original cond must match the
+    shortest run of routed conds on its clbit whose product, as if fired, is
+    the cond on its moved wires up to phase (so a reversed cond CNOT matches
+    its five ops).  A gate on a wire that the tail touched before it, or a
+    routed op left over, is not equivalent.
     """
     violations = []
     if report.circuit.num_qubits > graph.num_physical:

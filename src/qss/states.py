@@ -71,18 +71,20 @@ class StateVector:
 @lru_cache(maxsize=512)
 def _gather_tables(
     matrix_bytes: bytes, shape: tuple[int, ...], targets: tuple[int, ...], num_qubits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (perm, coef) tables of a complex matrix, given by its bytes
-    and shape, on target qubits; conventions are those of apply_unitary.
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[np.ndarray | None, np.ndarray | None], ...]]:
+    """Cached (perm, coef, terms) tables of a complex matrix, given by its
+    bytes and shape, on target qubits; conventions are those of apply_unitary.
 
-    Each table has shape (terms, 2**num_qubits), and the matrix maps psi
+    perm and coef have shape (terms, 2**num_qubits), and the matrix maps psi
     to sum_t coef[t] * psi[perm[t]].  Term t of output index i is the t-th
     nonzero entry, in column order, of the matrix row that i's target bits
     select, so the term count is the most nonzeros in any row: 1 for a
     monomial matrix (every Pauli and every registry gate but H), 2 for H.
-    Rows with fewer nonzeros take zero coefficients.  The arrays are
-    read-only, as the cache hands them to every caller.  A failed check
-    raises, and so caches nothing.
+    Rows with fewer nonzeros take zero coefficients.  terms pairs each perm
+    row with its coef row, None for an identity gather or unit coefficients
+    (a diagonal gate is one multiply, a permutation one exact gather).  The
+    arrays are read-only, as the cache hands them to every caller.  A failed
+    check raises, and so caches nothing.
     """
     k = len(targets)
     if shape != (2**k, 2**k):
@@ -105,7 +107,8 @@ def _gather_tables(
     coef = np.take_along_axis(u, cols, axis=1)[row].T.copy()
     perm.setflags(write=False)
     coef.setflags(write=False)
-    return perm, coef
+    terms = tuple((None if (p == idx).all() else p, None if (c == 1).all() else c) for p, c in zip(perm, coef))
+    return perm, coef, terms
 
 
 def apply_unitary(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
@@ -113,20 +116,23 @@ def apply_unitary(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...]
 
     amps has shape (..., 2**num_qubits); a new array is returned.  targets
     lists the qubits the matrix acts on, most significant first, so for a
-    two-qubit gate targets = (control, target).  The gate is a gather with
-    coefficients from cached tables, elementwise on each row, so a row's
-    result does not depend on the rows batched beside it.
+    two-qubit gate targets = (control, target).  The gate is a sum of
+    gathers and multiplies from cached tables, elementwise on each row, so
+    a row's result does not depend on the rows batched beside it.
     """
     m = np.asarray(matrix, dtype=complex)
-    perm, coef = _gather_tables(m.tobytes(), m.shape, tuple(targets), num_qubits)
+    terms = _gather_tables(m.tobytes(), m.shape, tuple(targets), num_qubits)[2]
     amps = np.asarray(amps, dtype=complex)
-    # In place, as each fresh array of a large batch costs page faults.
-    out = amps.take(perm[0], axis=-1)
-    out *= coef[0]
-    for p, c in zip(perm[1:], coef[1:]):
-        term = amps.take(p, axis=-1)
-        term *= c
-        out += term
+    out = None
+    for p, c in terms:
+        # In place, as each fresh array of a large batch costs page faults.
+        if p is not None:
+            term = amps.take(p, axis=-1)
+            if c is not None:
+                term *= c
+        else:
+            term = amps.copy() if c is None else amps * c
+        out = term if out is None else np.add(out, term, out=out)
     return out
 
 

@@ -29,7 +29,7 @@ TRACED_PUBLIC = {
     "tomography": ("basis_seed", "estimate_stokes", "exact_stokes", "measurement_variant", "project_to_physical",
                    "reconstruct", "run_tomography"),
     "stokes": ("density_from_stokes", "stokes_from_density"),
-    "fidelity": ("fidelity", "psd_sqrt", "pure_state_fidelity", "purity"),
+    "fidelity": ("fidelity", "psd_sqrt", "pure_state_fidelity"),
     "routing": ("check_routing", "decompose_swap", "route"),
     "fileio": ("atomic_write_text", "dump_csv", "dump_json", "parse_circuit", "parse_coupling",
                "parse_density_matrix", "parse_noise", "read_json", "write_json"),

@@ -430,6 +430,18 @@ def test_route_deterministic(ibmqx4):
     assert a.final_layout == b.final_layout
 
 
+def test_route_shares_its_gate_ops(ibmqx4):
+    # Gate ops come from one cache, so two routings hold the same objects;
+    # measure and cond ops carry clbits and are built for each routing.
+    c = Circuit(5, 2).gate("H", 0).gate("CNOT", 0, 4).gate("CZ", 1, 3).gate("CNOT", 0, 1).gate("SWAP", 2, 3)
+    c.measure(0, 0).measure(1, 1).cond("X", 2, 0).cond("CNOT", (0, 1), 1)
+    a, b = route(c, ibmqx4).circuit.ops, route(c, ibmqx4).circuit.ops
+    assert a == b
+    assert {op.kind for op in a} == {"gate", "measure", "cond"}
+    for x, y in zip(a, b):
+        assert (x is y) == (x.kind == "gate"), x
+
+
 def test_check_routing_flags_illegal_ops(ibmqx4):
     from qss import TranspileReport
 
@@ -444,6 +456,14 @@ def test_check_routing_flags_illegal_ops(ibmqx4):
     assert not result.legal
     assert any("against edge direction" in v for v in result.violations)
     assert not result.ok
+    # ibmqx4 has no link between 0 and 3 either way.  The routed CZ or SWAP
+    # is the original's on its placed wires, so only legality fails.
+    for name in ("CZ", "SWAP"):
+        c = Circuit(2, 0).gate(name, 0, 1)
+        report = TranspileReport(Circuit(5, 0).gate(name, 0, 3), {0: 0, 1: 3}, {0: 0, 1: 3})
+        result = check_routing(c, report, ibmqx4)
+        assert (result.legal, result.equivalent) == (False, True)
+        assert result.violations == (f"op 0: {name} on non-adjacent (0, 3)",)
 
 
 def test_check_routing_flags_wrong_unitary(ibmqx4):
@@ -611,6 +631,10 @@ def test_check_routing_checks_measurements_and_conds(ibmqx4):
         (Circuit(2, 2).gate("H", 0).measure(0, 0).measure(1, 1).cond("CNOT", (0, 1), 0), last_reads_c1),
         # a gate on an idle wire after the tail is an op left over
         (Circuit(2, 2).gate("H", 0).measure(0, 0).measure(1, 1), lambda ops: ops + (CircuitOp("gate", "H", (4,)),)),
+        # so are an extra measurement and an extra cond, which _split keeps
+        # in the tail
+        (Circuit(2, 2).gate("H", 0).measure(0, 0), lambda ops: ops + (CircuitOp("measure", qubit=1, clbit=1),)),
+        (Circuit(2, 2).gate("H", 0).measure(0, 0), lambda ops: ops + (CircuitOp("cond", "X", (1,), clbit=0),)),
     ]:
         report = route(c, ibmqx4)
         assert check_routing(c, report, ibmqx4).ok

@@ -102,27 +102,55 @@ def random_unitary(rng, k):
 
 
 def kernel_tables(matrix, targets, n):
+    """The kernel's dense (perm, coef) tables."""
     m = np.asarray(matrix, dtype=complex)
-    return _gather_tables(m.tobytes(), m.shape, targets, n)
+    return _gather_tables(m.tobytes(), m.shape, targets, n)[:2]
 
 
-def assert_kernel_matches_lifting(matrix, targets, n, rng, reference=None):
+def kernel_terms(matrix, targets, n):
+    """The kernel's terms: (perm or None, coef or None) pairs."""
+    m = np.asarray(matrix, dtype=complex)
+    return _gather_tables(m.tobytes(), m.shape, targets, n)[2]
+
+
+def assert_kernel_matches_lifting(matrix, targets, n, rng, reference=None, atol=1e-12):
     """apply_unitary against the oracle's lifting of reference (default: the
-    matrix itself), on batch shapes (), (g,) and (a, b)."""
+    matrix itself), on batch shapes (), (g,) and (a, b), to atol."""
     dense = oracles.lift(np.asarray(matrix if reference is None else reference, dtype=complex), targets, n)
     flat = rng.normal(size=(6, 2**n)) + 1j * rng.normal(size=(6, 2**n))
     for amps in (flat[0], flat, flat.reshape(2, 3, 2**n)):
         got = apply_unitary(amps, matrix, targets, n)
         assert got.shape == amps.shape
-        np.testing.assert_allclose(got, amps @ dense.T, atol=1e-12, err_msg=f"{targets} on {n} qubits")
+        np.testing.assert_allclose(got, amps @ dense.T, rtol=0, atol=atol, err_msg=f"{targets} on {n} qubits")
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_apply_unitary_matches_lifting_on_every_target_tuple(n):
+    # Each registry gate, and its conjugate as the exact noisy channel
+    # applies it to the column wires, to 1e-15.
     rng = np.random.default_rng(n)
     for name, g in sorted(GATES.items()):
+        reference = oracles.GATE_MATRICES[name]
         for targets in itertools.permutations(range(n), g.arity):
-            assert_kernel_matches_lifting(g.matrix, targets, n, rng, oracles.GATE_MATRICES[name])
+            assert_kernel_matches_lifting(g.matrix, targets, n, rng, reference, atol=1e-15)
+            assert_kernel_matches_lifting(g.matrix.conj(), targets, n, rng, reference.conj(), atol=1e-15)
+
+
+def test_a_permutation_gate_is_an_exact_gather():
+    # A unit-coefficient term skips the multiply, so each amplitude is
+    # copied bit for bit: a -0.0 keeps its sign.
+    rng = np.random.default_rng(31)
+    n = 3
+    amps = rng.normal(size=(4, 2**n)) + 1j * rng.normal(size=(4, 2**n))
+    amps[0, :4] = complex(-0.0, -0.0)
+    amps[1, 4:] = complex(0.0, -0.0)
+    for name in ("ID", "X", "CNOT", "SWAP"):
+        g = gate(name)
+        for targets in itertools.permutations(range(n), g.arity):
+            (perm,), _ = kernel_tables(g.matrix, targets, n)
+            got = apply_unitary(amps, g.matrix, targets, n)
+            assert got.tobytes() == amps[..., perm].tobytes(), (name, targets)
+            assert not np.shares_memory(got, amps)
 
 
 def test_apply_unitary_matches_lifting_on_wide_registers():
@@ -149,13 +177,33 @@ def test_apply_unitary_takes_any_matrix():
     assert len(kernel_tables(controlled_h, (0, 2), 3)[0]) == 2
 
 
+# Which of its gather and multiply each registry gate's terms skip: a
+# diagonal gate is one multiply, a permutation gate one gather, and H and Y
+# keep both.
+SKIPS = {
+    "ID": (True, True),
+    "X": (False, True), "CNOT": (False, True), "SWAP": (False, True),
+    "Z": (True, False), "S": (True, False), "SDG": (True, False), "T": (True, False), "CZ": (True, False),
+    "H": (False, False), "Y": (False, False),
+}
+
+
 def test_gather_tables_terms_and_read_only():
     # one (perm, phase) term for a monomial matrix, one per nonzero of the
-    # fullest row otherwise
+    # fullest row otherwise; a term's perm is None when it is the identity,
+    # and its coef when it is all ones
+    assert sorted(SKIPS) == sorted(GATES)
     for name, g in GATES.items():
-        perm, coef = kernel_tables(g.matrix, tuple(range(g.arity)), 3)
-        assert perm.shape == coef.shape == ((2 if name == "H" else 1), 8)
-        assert not perm.flags.writeable and not coef.flags.writeable
+        for targets in itertools.permutations(range(3), g.arity):
+            perm, coef = kernel_tables(g.matrix, targets, 3)
+            assert perm.shape == coef.shape == ((2 if name == "H" else 1), 8)
+            assert not perm.flags.writeable and not coef.flags.writeable
+            terms = kernel_terms(g.matrix, targets, 3)
+            assert len(terms) == len(perm)
+            for (p, c), dense_p, dense_c in zip(terms, perm, coef):
+                assert (p is None, c is None) == SKIPS[name], (name, targets)
+                assert p is None or (np.array_equal(p, dense_p) and not p.flags.writeable)
+                assert c is None or (np.array_equal(c, dense_c) and not c.flags.writeable)
     perm, _ = kernel_tables(random_unitary(np.random.default_rng(3), 2), (0, 1), 2)
     assert perm.shape == (4, 4)
 

@@ -12,7 +12,6 @@ from qss import (
     fidelity,
     psd_sqrt,
     pure_state_fidelity,
-    purity,
     stokes_from_density,
 )
 
@@ -184,16 +183,10 @@ def test_pure_state_fidelity_checks_a_raw_vector_as_a_state():
     )
 
 
-def test_purity():
-    assert purity(np.eye(2) / 2) == pytest.approx(0.5)
-    assert purity(RHO_SECRET) == pytest.approx(1.0, abs=1e-12)
-
-
 RAW_MATRIX_READERS = {
     "fidelity": lambda m: fidelity(m, np.eye(2) / 2),
     "fidelity-second": lambda m: fidelity(np.eye(2) / 2, m),
     "psd_sqrt": psd_sqrt,
-    "purity": purity,
     "pure_state_fidelity": lambda m: pure_state_fidelity(np.array([1.0, 0.0]), m),
 }
 
