@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import gate
-from .states import MAX_QUBITS
+from .states import _width
 
 # The fields each op kind carries, in JSON order; every other field of a
 # CircuitOp stays unset.
@@ -91,9 +91,7 @@ class Circuit:
     """
 
     def __init__(self, num_qubits: int, num_clbits: int = 0, ops: Iterable[CircuitOp] | None = None):
-        num_qubits, num_clbits = _wire(num_qubits), _wire(num_clbits)
-        if not 1 <= num_qubits <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
+        num_qubits, num_clbits = _width(_wire(num_qubits), "num_qubits"), _wire(num_clbits)
         if num_clbits < 0:
             raise ValueError("num_clbits must be >= 0")
         self.num_qubits = num_qubits

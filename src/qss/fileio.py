@@ -138,6 +138,8 @@ def parse_circuit(obj: object, path: str = "$") -> Circuit:
 def parse_coupling(obj: object, path: str = "$") -> CouplingGraph:
     qubits = _require(obj, "qubits", path, "int")
     edges = _require(obj, "edges", path, "list")
+    with _reported_at(path):  # the graph's own width rule, at the root as for a circuit
+        CouplingGraph(qubits, ())
     pairs = []
     for i, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):

@@ -17,30 +17,27 @@ import numpy as np
 
 from .circuit import Circuit, CircuitOp, _wire
 from .simulate import _unitary, matrices_equal_up_to_phase
+from .states import _width
 
 
 @dataclass(frozen=True)
 class CouplingGraph:
-    """Directed edges (control, target) over a fixed physical register."""
+    """Directed edges (control, target) over 1 to MAX_QUBITS physical wires, as a Circuit."""
 
     num_physical: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "num_physical", _wire(self.num_physical))
-        if self.num_physical < 1:
-            raise ValueError("num_physical must be >= 1")
-        seen: set[tuple[int, int]] = set()
-        norm = []
+        object.__setattr__(self, "num_physical", _width(_wire(self.num_physical), "num_physical"))
+        seen: dict[tuple[int, int], None] = {}  # in input order
         for c, t in self.edges:
             c, t = _wire(c), _wire(t)
             if not (0 <= c < self.num_physical and 0 <= t < self.num_physical) or c == t:
                 raise ValueError(f"bad edge ({c}, {t})")
             if (c, t) in seen:
                 raise ValueError(f"duplicate edge ({c}, {t})")
-            seen.add((c, t))
-            norm.append((c, t))
-        object.__setattr__(self, "edges", tuple(norm))
+            seen[c, t] = None
+        object.__setattr__(self, "edges", tuple(seen))
         object.__setattr__(self, "_edge_set", frozenset(seen))
 
     def allows(self, control: int, target: int) -> bool:
@@ -128,7 +125,7 @@ class TranspileReport:
         }
 
 
-@lru_cache(maxsize=1024)  # 11 names x 64 tuples on 8 wires fit; capped, as a wider device fails after routing
+@lru_cache(maxsize=None)  # bounded: 11 names x 64 target tuples, as a device has at most 8 wires
 def _gate_op(name: str, targets: tuple[int, ...]) -> CircuitOp:
     """The gate op of name on targets, checked once and then shared, as it is frozen."""
     return CircuitOp(kind="gate", name=name, targets=targets)
@@ -160,20 +157,16 @@ def decompose_swap(a: int, b: int, graph: CouplingGraph) -> list[CircuitOp]:
     return _cnot(graph, a, b) + _cnot(graph, b, a) + _cnot(graph, a, b)
 
 
-def _swap_flip_count(graph: CouplingGraph, a: int, b: int) -> int:
-    """Direction flips a SWAP needs on this edge, given a good orientation."""
-    return 0 if (graph.allows(a, b) and graph.allows(b, a)) else 1
-
-
 def _oriented(graph: CouplingGraph, a: int, b: int) -> tuple[int, int]:
     """Argument order that leaves only the middle CNOT flipped, if any."""
     return (a, b) if graph.allows(a, b) else (b, a)
 
 
 def _path_cost(graph: CouplingGraph, path: list[int], name: str) -> int:
-    cost = sum(_swap_flip_count(graph, path[i], path[i + 1]) for i in range(len(path) - 2))
-    if name == "CNOT" and not graph.allows(path[-2], path[-1]):
-        cost += 1
+    """Flips to route name along path: one per SWAP hop on a one-way edge, and one for a CNOT against the last."""
+    cost = name == "CNOT" and not graph.allows(path[-2], path[-1])
+    if len(path) > 2:  # most pairs are adjacent, and cost one lookup
+        cost += sum(not (graph.allows(u, v) and graph.allows(v, u)) for u, v in zip(path, path[1:-1]))
     return cost
 
 
@@ -234,22 +227,22 @@ def route(circuit: Circuit, graph: CouplingGraph, initial: QubitMapping | None =
             continue
 
         pc, pt = (l2p[q] for q in op.targets)
-        if not graph.has_link(pc, pt):
-            if op.kind == "cond":
-                raise ValueError("cannot route a conditioned two-qubit gate over non-adjacent wires")
-            paths = graph.shortest_paths(pc, pt)
-            path = min(paths, key=lambda p: (_path_cost(graph, p, op.name), p))
-            for i in range(len(path) - 2):
-                u, v = _oriented(graph, path[i], path[i + 1])
+        if graph.has_link(pc, pt):
+            flips = _path_cost(graph, [pc, pt], op.name)
+        elif op.kind == "cond":
+            raise ValueError("cannot route a conditioned two-qubit gate over non-adjacent wires")
+        else:
+            flips, path = min((_path_cost(graph, p, op.name), p) for p in graph.shortest_paths(pc, pt))
+            for u, v in zip(path, path[1:-1]):
+                u, v = _oriented(graph, u, v)
                 emitted += decompose_swap(u, v, graph)
                 l2p = {q: {u: v, v: u}.get(p, p) for q, p in l2p.items()}
-                swaps += 1
-                reversals += _swap_flip_count(graph, u, v)
-            pc, pt = (l2p[q] for q in op.targets)
+            swaps += len(path) - 2
+            pc, pt = path[-2:]
+        reversals += flips
 
         if op.name == "CNOT":
             emitted += _cnot(graph, pc, pt, op.clbit)
-            reversals += not graph.allows(pc, pt)
         elif op.name == "CZ":
             emitted.append(_routed_op(op.name, _oriented(graph, pc, pt), op.clbit))
         elif op.name == "SWAP":

@@ -17,6 +17,13 @@ from .gates import ATOL_EVOLUTION, GateMatrix, _allclose, gate
 MAX_QUBITS = 8
 
 
+def _width(n: int, name: str) -> int:
+    """n, which must be a register width in [1, MAX_QUBITS]."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"{name} must be in [1, {MAX_QUBITS}]")
+    return n
+
+
 def _num_qubits_for(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim <= 0 or 2**n != dim:
@@ -50,9 +57,7 @@ class StateVector:
     @classmethod
     def zero(cls, num_qubits: int) -> "StateVector":
         """|0...0> on num_qubits qubits."""
-        if not 1 <= num_qubits <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
-        a = np.zeros(2**num_qubits, dtype=complex)
+        a = np.zeros(2 ** _width(num_qubits, "num_qubits"), dtype=complex)
         a[0] = 1.0
         return cls(a)
 

@@ -98,6 +98,10 @@ INPUT_ERRORS = {
         ["transpile", "{tmp}/pair.json", "--layout", "0:1,1:2,7:3"],
         "initial mapping places logical qubit 7, but the circuit has 2 qubits",
     ),
+    "transpile-wide-coupling": (
+        ["transpile", "{tmp}/pair.json", "--coupling", "{tmp}/wide.json"],
+        "$: num_physical must be in [1, 8]",
+    ),
 }
 
 # Runs that must succeed, then runtime failures (exit 1), then argparse's
@@ -157,6 +161,8 @@ def write_inputs(tmp: Path) -> None:
     files = {
         "disconnected": {"qubits": 4, "edges": [[0, 1], [2, 3]]},
         "line": {"qubits": 4, "edges": [[0, 1], [2, 1], [2, 3]]},
+        # one wire past the widest device a circuit fits
+        "wide": {"qubits": 9, "edges": [[q, q + 1] for q in range(8)]},
         "far": Circuit(4, 0).gate("CNOT", 0, 2).to_json(),
         "six": Circuit(6, 0).gate("H", 0).to_json(),
         "mid": Circuit(2, 1).measure(0, 0).gate("H", 0).to_json(),

@@ -213,6 +213,11 @@ def test_parse_coupling_round_trip_and_errors(ibmqx4):
     with pytest.raises(SchemaError) as info:
         parse_coupling({"edges": []})
     assert info.value.path == "$.qubits"
+    # a width outside [1, 8] is reported at the root, as a circuit's is
+    for qubits in (0, 9):
+        with pytest.raises(SchemaError, match=r"^\$: num_physical must be in \[1, 8\]$") as info:
+            parse_coupling({"qubits": qubits, "edges": []})
+        assert info.value.path == "$"
     for edge in ([True, False], [0, 1.0], ["0", 1]):
         with pytest.raises(SchemaError) as info:
             parse_coupling({"qubits": 2, "edges": [[1, 0], edge]})

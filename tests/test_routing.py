@@ -38,6 +38,10 @@ def test_graph_validation():
         CouplingGraph(2, ((1, 1),))
     with pytest.raises(ValueError, match="duplicate"):
         CouplingGraph(2, ((0, 1), (0, 1)))
+    # a device holds 1 to 8 wires, as a Circuit does
+    for graph in ((0, ()), (9, tuple((q, q + 1) for q in range(8)))):
+        with pytest.raises(ValueError, match=r"^num_physical must be in \[1, 8\]$"):
+            CouplingGraph(*graph)
 
 
 def test_graph_queries(ibmqx4):
@@ -682,6 +686,51 @@ def test_random_circuits_route_correctly(ibmqx4):
         report = route(c, ibmqx4)
         result = check_routing(c, report, ibmqx4)
         assert result.ok, f"trial {trial}: {result.violations} ops={ops}"
+
+
+def test_swap_and_reversal_counts_match_the_ops_route_adds(ibmqx4):
+    # Counted from the routed circuit, not from route: each reversal wraps
+    # one CNOT in four H, each swap adds three CNOTs, and nothing else adds
+    # an H or a CNOT.  Seeded circuits, some with a measured tail of conds,
+    # on ibmqx4, on random 5-qubit couplings and on one-way lines.
+    def count(circuit, name):
+        return sum(op.name == name for op in circuit.ops)
+
+    rng = np.random.default_rng(4100)
+    totals = dict(swaps=0, reversals=0, conds=0, cond_pairs=0)
+    for trial in range(400):
+        if trial % 3 == 0:
+            g = ibmqx4
+        elif trial % 3 == 1:
+            g = CouplingGraph(5, tuple(random_coupling(rng, 5)))
+        else:
+            g = line_graph() if trial % 2 else CouplingGraph(6, tuple((q, q + 1) for q in range(5)))
+        n = int(rng.integers(2, g.num_physical + 1))
+        m = int(rng.integers(0, n + 1))
+        c = Circuit(n, m)
+        for name, targets in random_op_sequence(rng, n, int(rng.integers(1, 13))):
+            c.gate(name, *targets)
+        # A measured tail: a cond two-qubit gate routes only on wires the
+        # gates leave adjacent, and no op after the gates moves a wire.
+        final = route(c, g).final_layout
+        for clbit, q in enumerate(rng.permutation(n)[:m]):
+            c.measure(int(q), clbit)
+        adjacent = [pair for pair in itertools.permutations(range(n), 2) if g.has_link(*(final[q] for q in pair))]
+        for _ in range(int(rng.integers(0, 3)) if m else 0):
+            clbit = int(rng.integers(m))
+            if adjacent and rng.random() < 0.5:
+                c.cond("CNOT", adjacent[int(rng.integers(len(adjacent)))], clbit)
+                totals["cond_pairs"] += 1
+            else:
+                c.cond(GATE_POOL_1Q[int(rng.integers(len(GATE_POOL_1Q)))], (int(rng.integers(n)),), clbit)
+            totals["conds"] += 1
+        report = route(c, g)
+        assert count(report.circuit, "H") == count(c, "H") + 4 * report.reversals, trial
+        assert count(report.circuit, "CNOT") == count(c, "CNOT") + 3 * report.swaps, trial
+        assert check_routing(c, report, g).ok, trial
+        totals["swaps"] += report.swaps
+        totals["reversals"] += report.reversals
+    assert min(totals.values()) >= 50, totals
 
 
 def test_routing_against_pure_line_graph():

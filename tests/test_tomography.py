@@ -137,6 +137,11 @@ def test_estimate_stokes_validation():
 def test_projection_leaves_physical_input_alone():
     rho = DensityMatrix(RHO_HW)
     assert project_to_physical(rho) is rho
+    # pure states sit on the sphere itself: a Bloch norm of exactly 1.0
+    for stokes in ((1, 0, 0, 1), (1, 0.6, 0, 0.8)):
+        pure = density_from_stokes(StokesVector(*stokes))
+        assert stokes_from_density(pure).bloch_norm() == 1.0
+        assert project_to_physical(pure) is pure
 
 
 def test_projection_rescales_onto_the_sphere():
