@@ -48,12 +48,12 @@ print()
 
 # Reference Stokes row from a four-parameter readout of real hardware
 # statistics, and what the projection does to an unphysical vector.
-hw = StokesVector(1.0, 0.102, 0.021, 0.600)
+hw = StokesVector(0.102, 0.021, 0.600)
 print("hardware-style Stokes row reconstructs to:")
 print(np.round(density_from_stokes(hw).matrix, 4))
 print()
 
-stretched = StokesVector(1.0, 0.8, 0.0, 0.8)  # Bloch norm > 1, unphysical
+stretched = StokesVector(0.8, 0.0, 0.8)  # Bloch norm > 1, unphysical
 raw = density_from_stokes(stretched)
 print(f"stretched vector eigenvalues: {np.round(np.linalg.eigvalsh(raw.matrix), 4)}")
 from qss import project_to_physical

@@ -34,7 +34,7 @@ from .simulate import (
     simulate_shots,
     unitary_of,
 )
-from .states import DensityMatrix, StateVector, apply_gate, partial_trace
+from .states import DensityMatrix, StateVector, apply_gate
 from .stokes import StokesVector, density_from_stokes, stokes_from_density
 from .tomography import (
     TomographyJob,
@@ -82,7 +82,6 @@ __all__ = [
     "fidelity",
     "fit_depolarizing_detail",
     "gate",
-    "partial_trace",
     "pre_correction_reduced_dm",
     "project_to_physical",
     "psd_sqrt",

@@ -229,15 +229,16 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     rho_t = parse_density_matrix(read_json(args.rho_t))
     rho_e = parse_density_matrix(read_json(args.rho_e))
     f = fidelity(rho_t, rho_e)
-    print(f"{f:.10f}")
+    lines = [f"{f:.10f}"]
     payload = {"fidelity": f}
     if args.compare is not None:
         delta = f - args.compare
-        print(f"delta vs {args.compare:.4f}: {delta:+.10f}")
+        lines.append(f"delta vs {args.compare:.4f}: {delta:+.10f}")
         payload["compare"] = args.compare
         payload["delta"] = delta
-    if args.out:
+    if args.out:  # written first, as _emit does, so a failed write prints nothing
         write_json(args.out, payload)
+    print("\n".join(lines))
     return 0
 
 

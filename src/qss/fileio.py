@@ -30,13 +30,24 @@ class SchemaError(ValueError):
 
 
 def read_json(filename: str) -> object:
+    """The parsed file; whatever makes it unreadable as JSON is a SchemaError
+    at $, worded the same under every Python version."""
     try:
         with open(filename, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise IOError(f"cannot read {filename}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$", f"invalid JSON in {filename}: not UTF-8 at byte {exc.start}") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON in {filename}: {exc}") from exc
+        fault = str(exc)
+    except RecursionError:
+        fault = "nested too deeply"
+    except ValueError:  # json reads integers with int(), which caps their digits
+        fault = "an integer has too many digits"
+    raise SchemaError("$", f"invalid JSON in {filename}: {fault}")
 
 
 def atomic_write_text(filename: str, text: str) -> None:

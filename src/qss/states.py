@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gates import ATOL_EVOLUTION, GateMatrix, _allclose, gate
+from .gates import ATOL_EVOLUTION, _allclose, gate
 
 MAX_QUBITS = 8
 
@@ -141,10 +141,9 @@ def apply_unitary(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...]
     return out
 
 
-def apply_gate(state: StateVector, g: GateMatrix | str, targets: tuple[int, ...] | list[int]) -> StateVector:
-    """Apply a registry gate to a statevector and return the new state."""
-    if isinstance(g, str):
-        g = gate(g)
+def apply_gate(state: StateVector, name: str, targets: tuple[int, ...] | list[int]) -> StateVector:
+    """Apply a registry gate, given by name, to a statevector and return the new state."""
+    g = gate(name)
     targets = tuple(targets)
     if len(targets) != g.arity:
         raise ValueError(f"gate {g.name} expects {g.arity} targets, got {len(targets)}")
@@ -206,23 +205,6 @@ class DensityMatrix:
             "re": self.matrix.real.tolist(),
             "im": self.matrix.imag.tolist(),
         }
-
-
-def partial_trace(state: StateVector | DensityMatrix, keep: tuple[int, ...] | list[int]) -> DensityMatrix:
-    """Reduced density matrix on the kept qubits, tracing out the rest.
-
-    Kept qubits are re-indexed in increasing order: the smallest kept qubit
-    becomes qubit 0 of the reduced system.
-    """
-    keep = sorted(set(int(q) for q in keep))
-    if not keep:
-        raise ValueError("must keep at least one qubit")
-    if isinstance(state, StateVector):
-        a = _kept_first(state.amplitudes, keep)
-        return DensityMatrix(a @ a.conj().T)
-    # Columns split as (b, r) and then rows as (a, r'); the trace keeps r = r'.
-    t = _kept_first(_kept_first(state.matrix, keep).transpose(1, 2, 0), keep)
-    return DensityMatrix(np.einsum("brar->ab", t))
 
 
 def _kept_first(x: np.ndarray, keep: list[int]) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Single-qubit Stokes parameters and the Pauli-basis density map.
 
 A qubit state is summarized by S = (s0, s1, s2, s3) with s0 = 1 and
-rho = (1/2) * sum_i s_i * sigma_i.  Sampling noise can push the Bloch norm
-above 1; such vectors are carried as-is and flagged, not rejected.
+rho = (1/2) * sum_i s_i * sigma_i; only s1, s2 and s3 are stored.
+Sampling noise can push the Bloch norm above 1; such vectors are carried
+as-is and flagged, not rejected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,20 +22,18 @@ _RANGE_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class StokesVector:
-    s0: float
+    """(s1, s2, s3) of a qubit; s0 = Tr rho is the normalization 1, never measured."""
+
     s1: float
     s2: float
     s3: float
+    s0: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("s0", "s1", "s2", "s3"):
-            v = getattr(self, name)
-            object.__setattr__(self, name, float(v))
-        if abs(self.s0 - 1.0) > _RANGE_ATOL:
-            raise ValueError(f"s0 must be 1, got {self.s0}")
         for name in ("s1", "s2", "s3"):
-            v = getattr(self, name)
-            if abs(v) > 1.0 + _RANGE_ATOL:
+            v = float(getattr(self, name))
+            object.__setattr__(self, name, v)
+            if not abs(v) <= 1.0 + _RANGE_ATOL:  # NaN fails too
                 raise ValueError(f"{name} = {v} lies outside [-1, 1]")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -42,9 +42,10 @@ class StokesVector:
     def bloch_norm(self) -> float:
         return math.sqrt(self.s1**2 + self.s2**2 + self.s3**2)
 
-    def is_physical(self, atol: float = 1e-9) -> bool:
-        """True when the Bloch vector fits inside the unit ball."""
-        return self.bloch_norm() <= 1.0 + atol
+    def is_physical(self) -> bool:
+        """True when the Bloch vector fits inside the unit ball, allowing
+        _RANGE_ATOL of rounding: the one rule for a physical vector."""
+        return self.bloch_norm() <= 1.0 + _RANGE_ATOL
 
 
 def density_from_stokes(s: StokesVector) -> DensityMatrix:
@@ -59,5 +60,5 @@ def stokes_from_density(rho: DensityMatrix) -> StokesVector:
     """Inverse map s_i = Tr(sigma_i rho) for a single-qubit matrix."""
     if rho.dim != 2:
         raise ValueError(f"expected a single-qubit matrix, got dim {rho.dim}")
-    s = [float(np.trace(sigma @ rho.matrix).real) for sigma in PAULIS]
+    s = [float(np.trace(sigma @ rho.matrix).real) for sigma in PAULIS[1:]]
     return StokesVector(*s)

@@ -85,22 +85,21 @@ def estimate_stokes(counts_z: Counts, counts_x: Counts, counts_y: Counts) -> Sto
             raise ValueError("zero total shots")
         return (counts.counts.get("0", 0) - counts.counts.get("1", 0)) / total
 
-    return StokesVector(1.0, diff(counts_x), diff(counts_y), diff(counts_z))
+    return StokesVector(diff(counts_x), diff(counts_y), diff(counts_z))
 
 
 def project_to_physical(rho_raw: DensityMatrix) -> DensityMatrix:
     """Pull a too-long Bloch vector back onto the unit sphere.
 
-    Physical input is returned unchanged.  For a 2x2 matrix the rescale is
-    the same as clipping the negative eigenvalue to zero and renormalizing
-    the trace.
+    Input that StokesVector.is_physical accepts is returned unchanged.  For
+    a 2x2 matrix the rescale is the same as clipping the negative
+    eigenvalue to zero and renormalizing the trace.
     """
     s = stokes_from_density(rho_raw)
-    norm = s.bloch_norm()
-    if norm <= 1.0:
+    if s.is_physical():
         return rho_raw
-    scale = 1.0 / norm
-    return density_from_stokes(StokesVector(1.0, s.s1 * scale, s.s2 * scale, s.s3 * scale))
+    scale = 1.0 / s.bloch_norm()
+    return density_from_stokes(StokesVector(s.s1 * scale, s.s2 * scale, s.s3 * scale))
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def reconstruct(stokes: StokesVector, reference: DensityMatrix | None = None) ->
     """Build a TomographyResult from already-estimated Stokes parameters."""
     rho_raw = density_from_stokes(stokes)
     rho_projected = project_to_physical(rho_raw)
-    physical = stokes.is_physical()
+    physical = rho_projected is rho_raw  # the projection leaves exactly the physical input alone
     fid = fidelity(rho_projected, reference) if reference is not None else None
     fid_raw = _raw_fidelity(rho_raw, reference) if reference is not None else None
     return TomographyResult(
@@ -186,4 +185,4 @@ def run_tomography(
 def exact_stokes(base_circuit: Circuit, target_qubit: int) -> StokesVector:
     """Stokes parameters of the target qubit's exact reduced state, no sampling."""
     _check_unmeasured(base_circuit, target_qubit)
-    return replace(stokes_from_density(_qubit_state(base_circuit, target_qubit)), s0=1.0)
+    return stokes_from_density(_qubit_state(base_circuit, target_qubit))

@@ -104,6 +104,14 @@ INPUT_ERRORS = {
     ),
 }
 
+# Files that no JSON reader accepts, each for a reason of its own.
+MALFORMED = {
+    "trailing": b'{"qubits": 2} {}',
+    "latin1": '{"p1": 0.001, "note": "caf\u00e9"}'.encode("latin-1"),
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "long": b'{"qubits": ' + b"9" * 5000 + b"}",
+}
+
 # Runs that must succeed, then runtime failures (exit 1), then argparse's
 # own help and usage output (names start with "usage-").
 ENTRIES = {
@@ -143,6 +151,9 @@ ENTRIES = {
     "run-strict": ["run", "--strict"],
     "calibrate-strict": ["calibrate", "--strict", "--target", "0.8"],
     **{name: argv for name, (argv, _) in INPUT_ERRORS.items()},
+    "transpile-nested-too-deep": ["transpile", "{tmp}/deep.json"],
+    "run-noise-not-utf8": ["run", "--noise", "{tmp}/latin1.json"],
+    "fidelity-long-integer": ["fidelity", "{tmp}/long.json", "{tmp}/half.json"],
     "transpile-absent-circuit": ["transpile", "{tmp}/absent.json"],
     "transpile-absent-coupling": ["transpile", "{tmp}/coherent.json", "--coupling", "{tmp}/absent.json"],
     "calibrate-target-above-ceiling": ["calibrate", "--target", "0.95", "--seed", "0"],
@@ -156,7 +167,7 @@ ENTRIES = {
 
 
 def write_inputs(tmp: Path) -> None:
-    """Write every file an entry or INPUT_ERRORS names into tmp."""
+    """Write every file an entry, INPUT_ERRORS or MALFORMED names into tmp."""
     big = 1.6e308
     files = {
         "disconnected": {"qubits": 4, "edges": [[0, 1], [2, 3]]},
@@ -187,6 +198,8 @@ def write_inputs(tmp: Path) -> None:
     }
     for name, matrix in matrices.items():
         write_json(str(tmp / f"{name}.json"), DensityMatrix(np.asarray(matrix, dtype=complex)).to_json())
+    for name, data in MALFORMED.items():
+        (tmp / f"{name}.json").write_bytes(data)
     shutil.copyfile(datasets.data_file_path("ibmqx4_calibration.json"), tmp / "noise.json")
 
 

@@ -162,7 +162,7 @@ def test_criterion_4_secrecy_invariant(report):
 def test_criterion_5_tomography_pipeline(report, coherent_circuit):
     def body():
         # reference Stokes row reconstructs its matrix elementwise
-        rho = density_from_stokes(StokesVector(*STOKES_HW))
+        rho = density_from_stokes(StokesVector(*STOKES_HW[1:]))
         assert float(np.abs(rho.matrix - RHO_HW).max()) <= 1e-12
         # the same row is reachable from integer counts
         est = estimate_stokes(

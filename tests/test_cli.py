@@ -12,7 +12,7 @@ from qss.cli import main
 from qss.fileio import write_json
 
 from conftest import FID_HW_REPORTED, P0_SECRET, RHO_HW, RHO_SECRET, SAMPLED_FROZEN
-from golden import INPUT_ERRORS, write_inputs
+from golden import INPUT_ERRORS, MALFORMED, write_inputs
 
 FROZEN_SHOTS, FROZEN_SEED, FROZEN_P0 = SAMPLED_FROZEN[0]
 
@@ -239,6 +239,19 @@ def test_fidelity_frozen_output(tmp_path, capsys):
     assert payload["compare"] == FID_HW_REPORTED
 
 
+@pytest.mark.parametrize("out", ["absent/fid.json", "taken"])
+def test_fidelity_out_failure_prints_nothing(out, tmp_path, capsys):
+    # --out names a missing directory, or an existing one that the written
+    # temporary file cannot replace; either way nothing is left behind.
+    a = rho_file(tmp_path, "a.json", RHO_SECRET)
+    (tmp_path / "taken").mkdir()
+    assert run_cli("fidelity", a, a, "--out", str(tmp_path / out)) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.json", "taken"]
+
+
 def test_fidelity_requires_square_inputs(tmp_path, capsys):
     a = rho_file(tmp_path, "a.json", RHO_SECRET)
     bad = tmp_path / "bad.json"
@@ -337,3 +350,29 @@ def test_input_errors_exit_2(argv, message, tmp_path, capsys):
     assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "out.json").exists()
+
+
+FILE_ARGUMENTS = {
+    "transpile-CIRCUIT": ["transpile", "{bad}"],
+    "transpile-coupling": ["transpile", "{tmp}/pair.json", "--coupling", "{bad}"],
+    "run-noise": ["run", "--noise", "{bad}"],
+    "tomo-reference": ["tomo", "--reference", "{bad}"],
+    "fidelity-A": ["fidelity", "{bad}", "{tmp}/half.json"],
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("inputs")
+    write_inputs(tmp)
+    return tmp
+
+
+@pytest.mark.parametrize("malformed", MALFORMED)
+@pytest.mark.parametrize("argv", FILE_ARGUMENTS.values(), ids=FILE_ARGUMENTS.keys())
+def test_malformed_json_at_every_file_argument(argv, malformed, inputs, capsys):
+    bad = inputs / f"{malformed}.json"
+    assert run_cli(*(arg.format(tmp=inputs, bad=bad) for arg in argv)) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith(f"error: $: invalid JSON in {bad}: ") and stderr.count("\n") == 1, stderr

@@ -19,7 +19,7 @@ README = ROOT / "README.md"
 # modules, so each one adds a span per call.  A helper in a hot path is
 # private; a new public function here is a declared change to this table.
 TRACED_PUBLIC = {
-    "states": ("apply_gate", "apply_unitary", "partial_trace"),
+    "states": ("apply_gate", "apply_unitary"),
     "simulate": ("enumerate_branches", "exact_distribution", "matrices_equal_up_to_phase", "simulate_shots",
                  "unitary_of"),
     "noise": ("fit_depolarizing_detail",),

@@ -18,11 +18,9 @@ from qss import (
     ProtocolConfig,
     RunConfig,
     SimulationError,
-    StateVector,
     assemble_circuit,
     enumerate_branches,
     exact_distribution,
-    partial_trace,
     simulate_shots,
     unitary_of,
 )
@@ -391,8 +389,6 @@ def test_qubit_state_matches_the_dense_branch_sum(seed):
 
 
 def test_qubit_state_of_one_branch_is_its_partial_trace():
-    # The weighted sum starts from the first branch, so a single branch
-    # gives partial_trace's bytes.
     rng = np.random.default_rng(8)
     for _ in range(20):
         n = int(rng.integers(1, 6))
@@ -401,10 +397,17 @@ def test_qubit_state_of_one_branch_is_its_partial_trace():
             c.gate(name, *targets)
         (branch,) = enumerate_branches(c)
         for q in range(n):
-            want = partial_trace(StateVector(branch.state), (q,)).matrix
-            assert _qubit_state(c, q).matrix.tobytes() == want.tobytes()
+            want = oracles.reduced_density(branch.state, [q], n)
+            np.testing.assert_allclose(_qubit_state(c, q).matrix, want, rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match=r"kept qubits \[5\] out of range for 5 qubits"):
         _qubit_state(Circuit(5, 0), 5)
+
+
+def test_each_share_of_a_ghz_state_is_maximally_mixed():
+    # No one party's qubit carries any information on its own.
+    ghz = Circuit(3, 0).gate("H", 2).gate("CNOT", 2, 1).gate("CNOT", 2, 0)
+    for q in range(3):
+        np.testing.assert_allclose(_qubit_state(ghz, q).matrix, np.eye(2) / 2, atol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,12 @@
-"""Statevector evolution, density matrices and partial traces,
-cross-checked against the dense index-arithmetic oracle."""
+"""Statevector evolution and density matrices, cross-checked against the
+dense index-arithmetic oracle."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from qss import DensityMatrix, StateVector, apply_gate, partial_trace
+from qss import DensityMatrix, StateVector, apply_gate
 from qss.fileio import SchemaError, parse_density_matrix
 from qss.gates import ATOL_EVOLUTION, GATES, gate
 from qss.states import _check_hermitian, _gather_tables, apply_unitary
@@ -231,52 +231,6 @@ def test_density_of_pure_state():
     psi = apply_gate(StateVector.zero(1), "H", (0,))
     rho = psi.density()
     np.testing.assert_allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-12)
-
-
-def test_partial_trace_of_ghz_is_maximally_mixed():
-    ops = [("H", (2,)), ("CNOT", (2, 1)), ("CNOT", (2, 0))]
-    psi = StateVector.zero(3)
-    for name, targets in ops:
-        psi = apply_gate(psi, name, targets)
-    rho = partial_trace(psi, (0,))
-    np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
-    rho2 = partial_trace(psi, (0, 1))
-    expected = np.zeros((4, 4))
-    expected[0, 0] = expected[3, 3] = 0.5
-    np.testing.assert_allclose(rho2.matrix, expected, atol=1e-12)
-
-
-def test_partial_trace_matches_oracle_on_random_states():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        n = int(rng.integers(2, 5))
-        ops = random_op_sequence(rng, n, 6)
-        psi = StateVector.zero(n)
-        for name, targets in ops:
-            psi = apply_gate(psi, name, targets)
-        k = int(rng.integers(1, n))
-        keep = sorted(rng.choice(n, size=k, replace=False).tolist())
-        expected = oracles.reduced_density(psi.amplitudes, keep, n)
-        got = partial_trace(psi, keep)
-        np.testing.assert_allclose(got.matrix, expected, atol=1e-12)
-        # the density-matrix path must agree with the statevector path
-        got_dm = partial_trace(psi.density(), keep)
-        np.testing.assert_allclose(got_dm.matrix, expected, atol=1e-12)
-
-
-def test_partial_trace_reorders_keep_list():
-    psi = apply_gate(StateVector.zero(2), "X", (1,))
-    a = partial_trace(psi, (1, 0))
-    b = partial_trace(psi, (0, 1))
-    np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-15)
-
-
-def test_partial_trace_validates():
-    psi = StateVector.zero(2)
-    with pytest.raises(ValueError, match="at least one"):
-        partial_trace(psi, ())
-    with pytest.raises(ValueError, match="out of range"):
-        partial_trace(psi, (2,))
 
 
 def test_density_matrix_validation():

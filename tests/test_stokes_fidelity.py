@@ -28,34 +28,36 @@ from conftest import (
 
 
 def test_stokes_validation():
-    with pytest.raises(ValueError, match="s0"):
-        StokesVector(0.9, 0, 0, 0)
     with pytest.raises(ValueError, match="s2"):
-        StokesVector(1.0, 0.0, 1.5, 0.0)
-    s = StokesVector(1, 0.6, 0.0, 0.8)
+        StokesVector(0.0, 1.5, 0.0)
+    s = StokesVector(0.6, 0.0, 0.8)
     assert s.bloch_norm() == pytest.approx(1.0)
     assert s.is_physical()
+    # s0 is the normalization Tr rho = 1, never an argument
+    assert s.as_tuple() == (1.0, 0.6, 0.0, 0.8)
+    with pytest.raises(TypeError):
+        StokesVector(1.0, 0.6, 0.0, 0.8)
 
 
 def test_overlong_bloch_vector_is_carried_but_flagged():
-    s = StokesVector(1.0, 0.8, 0.0, 0.8)
+    s = StokesVector(0.8, 0.0, 0.8)
     assert s.bloch_norm() > 1.0
     assert not s.is_physical()
 
 
 def test_density_from_stokes_basics():
     np.testing.assert_allclose(
-        density_from_stokes(StokesVector(1, 0, 0, 0)).matrix, np.eye(2) / 2, atol=1e-15
+        density_from_stokes(StokesVector(0, 0, 0)).matrix, np.eye(2) / 2, atol=1e-15
     )
     np.testing.assert_allclose(
-        density_from_stokes(StokesVector(1, 0, 0, 1)).matrix,
+        density_from_stokes(StokesVector(0, 0, 1)).matrix,
         np.diag([1.0, 0.0]),
         atol=1e-15,
     )
 
 
 def test_density_from_stokes_hardware_row_exact():
-    rho = density_from_stokes(StokesVector(*STOKES_HW))
+    rho = density_from_stokes(StokesVector(*STOKES_HW[1:]))
     np.testing.assert_allclose(rho.matrix, RHO_HW, atol=1e-15)
 
 

@@ -10,7 +10,6 @@ from qss import (
     DensityMatrix,
     ProtocolConfig,
     SecretSpec,
-    StateVector,
     StokesVector,
     TomographyJob,
     assemble_circuit,
@@ -19,7 +18,6 @@ from qss import (
     estimate_stokes,
     exact_stokes,
     fidelity,
-    partial_trace,
     project_to_physical,
     pure_state_fidelity,
     run_tomography,
@@ -138,21 +136,21 @@ def test_projection_leaves_physical_input_alone():
     rho = DensityMatrix(RHO_HW)
     assert project_to_physical(rho) is rho
     # pure states sit on the sphere itself: a Bloch norm of exactly 1.0
-    for stokes in ((1, 0, 0, 1), (1, 0.6, 0, 0.8)):
+    for stokes in ((0, 0, 1), (0.6, 0, 0.8)):
         pure = density_from_stokes(StokesVector(*stokes))
         assert stokes_from_density(pure).bloch_norm() == 1.0
         assert project_to_physical(pure) is pure
 
 
 def test_projection_rescales_onto_the_sphere():
-    for stokes in ((1, 0.8, 0.0, 0.8), (1, 0.9, 0.4, 0.3), (1, -0.7, 0.5, 0.6)):
+    for stokes in ((0.8, 0.0, 0.8), (0.9, 0.4, 0.3), (-0.7, 0.5, 0.6)):
         raw = density_from_stokes(StokesVector(*stokes))
         projected = project_to_physical(raw)
         s = stokes_from_density(projected)
         assert s.bloch_norm() == pytest.approx(1.0, abs=1e-12)
         assert projected.is_physical(atol=1e-12)
         # direction is preserved
-        raw_s = np.array(stokes[1:])
+        raw_s = np.array(stokes)
         proj_s = np.array(s.as_tuple()[1:])
         np.testing.assert_allclose(proj_s, raw_s / np.linalg.norm(raw_s), atol=1e-12)
         # idempotent
@@ -163,7 +161,7 @@ def test_projection_rescales_onto_the_sphere():
 def test_projection_equals_clamp_and_renormalize():
     # for 2x2 matrices the Bloch rescale is the same map as clipping the
     # negative eigenvalue and renormalizing the trace
-    for stokes in ((1, 0.8, 0.0, 0.8), (1, 0.95, 0.4, 0.3), (1, -0.6, 0.7, 0.6)):
+    for stokes in ((0.8, 0.0, 0.8), (0.95, 0.4, 0.3), (-0.6, 0.7, 0.6)):
         raw = density_from_stokes(StokesVector(*stokes))
         projected = project_to_physical(raw)
         clamped = oracles.clamp_renormalize(raw.matrix)
@@ -179,7 +177,7 @@ def test_projection_equals_clamp_and_renormalize():
 
 
 def test_reconstruct_reports_physicality_and_fidelity():
-    result = reconstruct(StokesVector(*STOKES_HW), reference=DensityMatrix(RHO_SECRET))
+    result = reconstruct(StokesVector(*STOKES_HW[1:]), reference=DensityMatrix(RHO_SECRET))
     assert result.physical
     np.testing.assert_allclose(result.rho_raw.matrix, RHO_HW, atol=1e-15)
     np.testing.assert_allclose(result.rho_projected.matrix, RHO_HW, atol=1e-15)
@@ -190,24 +188,56 @@ def test_reconstruct_reports_physicality_and_fidelity():
 
 
 def test_reconstruct_unphysical_raw_fidelity_against_pure_reference():
-    result = reconstruct(StokesVector(1, 0.8, 0.0, 0.8), reference=DensityMatrix(RHO_SECRET))
+    result = reconstruct(StokesVector(0.8, 0.0, 0.8), reference=DensityMatrix(RHO_SECRET))
     assert not result.physical
     assert result.fidelity_raw_vs_reference is not None
     assert result.fidelity_vs_reference is not None
 
 
+@pytest.mark.parametrize("norm, physical", [(1 - 1e-12, True), (1.0, True), (1 + 5e-10, True), (1 + 2e-9, False)])
+def test_one_rule_decides_physicality_at_the_sphere(norm, physical):
+    # Exact Stokes vectors sit a few ulp off the sphere, so the rule allows
+    # 1e-9 of slack, and the projection leaves exactly those vectors alone.
+    rng = np.random.default_rng(41)
+    axes = [v / np.linalg.norm(v) for v in rng.normal(size=(20, 3))]
+    if physical:  # a component past 1 + 1e-9 is refused at construction
+        axes.append(np.array([0.0, 0.0, 1.0]))
+    for axis in axes:
+        s = StokesVector(*(norm * axis))
+        result = reconstruct(s)
+        assert s.is_physical() == result.physical == physical
+        assert (result.rho_projected is result.rho_raw) == physical
+
+
+def test_density_from_stokes_takes_every_vector_the_constructor_takes():
+    edge = 1 + 1e-9
+    for i in range(3):
+        for sign in (1, -1):
+            v = [0.0, 0.0, 0.0]
+            v[i] = sign * edge
+            rho = density_from_stokes(StokesVector(*v))
+            assert np.trace(rho.matrix) == 1.0
+            for bad in (sign * (edge + 1e-9), float("nan")):
+                v[i] = bad
+                with pytest.raises(ValueError, match="outside"):
+                    StokesVector(*v)
+    rng = np.random.default_rng(42)
+    for v in rng.uniform(-edge, edge, size=(200, 3)):
+        density_from_stokes(StokesVector(*v))
+
+
 def test_reconstruct_unphysical_raw_against_mixed_reference_is_none():
     mixed = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
-    result = reconstruct(StokesVector(1, 0.8, 0.0, 0.8), reference=mixed)
+    result = reconstruct(StokesVector(0.8, 0.0, 0.8), reference=mixed)
     assert result.fidelity_raw_vs_reference is None
     assert result.fidelity_vs_reference is not None
 
 
 def test_result_json_schema():
-    result = reconstruct(StokesVector(*STOKES_HW))
+    result = reconstruct(StokesVector(*STOKES_HW[1:]))
     j = result.to_json()
     assert set(j) == {"stokes", "rho_raw", "rho_projected", "physical"}
-    scored = reconstruct(StokesVector(*STOKES_HW), reference=DensityMatrix(RHO_SECRET))
+    scored = reconstruct(StokesVector(*STOKES_HW[1:]), reference=DensityMatrix(RHO_SECRET))
     assert "fidelity" in scored.to_json()
 
 
@@ -220,8 +250,8 @@ def test_exact_stokes_of_the_protocol(coherent_circuit):
 
 def test_exact_stokes_agrees_with_partial_trace(coherent_circuit):
     (branch,) = enumerate_branches(coherent_circuit)
-    rho = partial_trace(StateVector(branch.state), (0,))
-    s_direct = stokes_from_density(rho)
+    rho = oracles.reduced_density(branch.state, [0], coherent_circuit.num_qubits)
+    s_direct = stokes_from_density(DensityMatrix(rho))
     s_tomo = exact_stokes(coherent_circuit, 0)
     assert s_tomo.as_tuple() == pytest.approx(s_direct.as_tuple(), abs=1e-10)
 
