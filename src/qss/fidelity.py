@@ -33,14 +33,20 @@ def _clipped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     return np.clip(vals, 0.0, None), vecs
 
+
+def _root(m: np.ndarray) -> np.ndarray:
+    """psd_sqrt of a matrix that _as_matrix has already checked."""
+    vals, vecs = _clipped_eigh(m)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
 def psd_sqrt(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues in [-EIG_FLOOR, 0) are clipped to zero before the root;
     eigenvalues below -EIG_FLOOR raise ValueError.
     """
-    vals, vecs = _clipped_eigh(_as_matrix(rho))
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return _root(_as_matrix(rho))
 
 
 def fidelity(rho_t: DensityMatrix | np.ndarray, rho_e: DensityMatrix | np.ndarray) -> float:
@@ -49,7 +55,7 @@ def fidelity(rho_t: DensityMatrix | np.ndarray, rho_e: DensityMatrix | np.ndarra
     b = _as_matrix(rho_e)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    ra = psd_sqrt(a)
+    ra = _root(a)
     inner = ra @ b @ ra
     # inner is PSD up to roundoff; reuse the clipped root for its trace.
     vals, _ = _clipped_eigh((inner + inner.conj().T) / 2.0)

@@ -283,7 +283,8 @@ def _equivalent(original: Circuit, report: TranspileReport) -> bool:
     except ValueError:
         return False
     basis = np.arange(2**n)
-    placed, moved = (sum(((basis >> q) & 1) << w for q, w in layout.items()) for layout in (initial, final))
+    bits = (basis[:, None] >> np.arange(n)) & 1
+    placed, moved = (bits @ (1 << np.array([[initial[q], final[q]] for q in range(n)]))).T
     start = np.zeros((2**n, 2**p), dtype=complex)
     start[basis, placed] = 1.0
     expected = np.zeros((2**p, 2**n), dtype=complex)

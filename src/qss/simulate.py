@@ -155,12 +155,12 @@ def _evolve(
             creg[:, op.clbit] = recorded
             continue
         if op.kind == "gate":
-            rows = slice(None)
+            states = apply_unitary(states, op.name, op.targets, n)
         else:
             rows = np.flatnonzero(creg[:, op.clbit])
             if not rows.size:
                 continue
-        states[rows] = apply_unitary(states[rows], gate(op.name).matrix, op.targets, n)
+            states[rows] = apply_unitary(states[rows], op.name, op.targets, n)
         for q, trigger in zip(op.targets, cols[::2]):
             shots = np.flatnonzero(u[:, trigger] < p_err)
             if op.kind == "cond":
@@ -320,13 +320,15 @@ def _mixed(circuit: Circuit, noise: "NoiseModel") -> tuple[np.ndarray, np.ndarra
             rows = np.flatnonzero(creg[:, op.clbit])
             if not rows.size:
                 continue
-        u = gate(op.name).matrix
-        block = apply_unitary(rho[rows], u, op.targets, 2 * n)
-        block = apply_unitary(block, u.conj(), tuple(n + q for q in op.targets), 2 * n)
+        block = apply_unitary(rho[rows], op.name, op.targets, 2 * n)
+        block = apply_unitary(block, gate(op.name).matrix.conj(), tuple(n + q for q in op.targets), 2 * n)
         if p > 0.0:
             for q in op.targets:
                 _depolarize(block, q, p, n)
-        rho[rows] = block
+        if op.kind == "gate":
+            rho = block
+        else:
+            rho[rows] = block
     return rho, creg
 
 
@@ -376,7 +378,7 @@ def _unitary(ops: tuple[CircuitOp, ...] | list[CircuitOp], n: int, start: np.nda
     of rows, and a transposed view of the result is returned."""
     rows = np.eye(2**n, dtype=complex) if start is None else start.T
     for op in ops:
-        rows = apply_unitary(rows, gate(op.name).matrix, op.targets, n)
+        rows = apply_unitary(rows, op.name, op.targets, n)
     return rows.T
 
 

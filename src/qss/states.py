@@ -7,6 +7,7 @@ rightmost throughout the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -42,9 +43,11 @@ class StateVector:
     def __post_init__(self) -> None:
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
         _num_qubits_for(a.size)
-        if not np.all(np.isfinite(a.view(float))):
+        if not np.isfinite(a.view(float)).all():
             raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(a))
+        # np.linalg.norm's own sum, so the value is the same to the last bit
+        re, im = a.real, a.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))
         if abs(norm - 1.0) > ATOL_EVOLUTION:
             raise ValueError(f"state is not normalized: |psi| = {norm}")
         a.setflags(write=False)
@@ -116,17 +119,32 @@ def _gather_tables(
     return perm, coef, terms
 
 
-def apply_unitary(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
+@lru_cache(maxsize=1024)
+def _named_terms(name: str, targets: tuple[int, ...], num_qubits: int) -> tuple:
+    """The terms of _gather_tables for the registry gate `name`, cached by
+    (name, targets, num_qubits) so that a call skips hashing the matrix."""
+    m = gate(name).matrix
+    return _gather_tables(m.tobytes(), m.shape, targets, num_qubits)[2]
+
+
+def apply_unitary(
+    amps: np.ndarray, matrix: np.ndarray | str, targets: tuple[int, ...], num_qubits: int
+) -> np.ndarray:
     """Apply a k-qubit unitary to target qubits of a batch of statevectors.
 
-    amps has shape (..., 2**num_qubits); a new array is returned.  targets
-    lists the qubits the matrix acts on, most significant first, so for a
-    two-qubit gate targets = (control, target).  The gate is a sum of
-    gathers and multiplies from cached tables, elementwise on each row, so
-    a row's result does not depend on the rows batched beside it.
+    amps has shape (..., 2**num_qubits); a new array is returned.  matrix is
+    a 2**k x 2**k unitary, or the name of a registry gate, which gives the
+    same bytes as its matrix.  targets lists the qubits the matrix acts on,
+    most significant first, so for a two-qubit gate targets = (control,
+    target).  The gate is a sum of gathers and multiplies from cached
+    tables, elementwise on each row, so a row's result does not depend on
+    the rows batched beside it.
     """
-    m = np.asarray(matrix, dtype=complex)
-    terms = _gather_tables(m.tobytes(), m.shape, tuple(targets), num_qubits)[2]
+    if isinstance(matrix, str):
+        terms = _named_terms(matrix, tuple(targets), num_qubits)
+    else:
+        m = np.asarray(matrix, dtype=complex)
+        terms = _gather_tables(m.tobytes(), m.shape, tuple(targets), num_qubits)[2]
     amps = np.asarray(amps, dtype=complex)
     out = None
     for p, c in terms:
@@ -147,7 +165,7 @@ def apply_gate(state: StateVector, name: str, targets: tuple[int, ...] | list[in
     targets = tuple(targets)
     if len(targets) != g.arity:
         raise ValueError(f"gate {g.name} expects {g.arity} targets, got {len(targets)}")
-    return StateVector(apply_unitary(state.amplitudes, g.matrix, targets, state.num_qubits))
+    return StateVector(apply_unitary(state.amplitudes, g.name, targets, state.num_qubits))
 
 
 def _check_hermitian(m: np.ndarray, what: str) -> None:

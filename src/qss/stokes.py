@@ -40,12 +40,21 @@ class StokesVector:
         return (self.s0, self.s1, self.s2, self.s3)
 
     def bloch_norm(self) -> float:
-        return math.sqrt(self.s1**2 + self.s2**2 + self.s3**2)
+        return _norm((self.s1, self.s2, self.s3))
 
     def is_physical(self) -> bool:
         """True when the Bloch vector fits inside the unit ball, allowing
         _RANGE_ATOL of rounding: the one rule for a physical vector."""
-        return self.bloch_norm() <= 1.0 + _RANGE_ATOL
+        return _inside_ball(self.bloch_norm())
+
+
+def _norm(s: tuple[float, float, float]) -> float:
+    return math.sqrt(s[0] ** 2 + s[1] ** 2 + s[2] ** 2)
+
+
+def _inside_ball(norm: float) -> bool:
+    """The rule of StokesVector.is_physical, on a Bloch norm."""
+    return norm <= 1.0 + _RANGE_ATOL
 
 
 def density_from_stokes(s: StokesVector) -> DensityMatrix:
@@ -56,9 +65,15 @@ def density_from_stokes(s: StokesVector) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def stokes_from_density(rho: DensityMatrix) -> StokesVector:
-    """Inverse map s_i = Tr(sigma_i rho) for a single-qubit matrix."""
+def _bloch(rho: DensityMatrix) -> tuple[float, float, float]:
+    """s_i = Tr(sigma_i rho), i = 1..3, of a single-qubit matrix, with no
+    range check, so an unphysical matrix may give |s_i| > 1."""
     if rho.dim != 2:
         raise ValueError(f"expected a single-qubit matrix, got dim {rho.dim}")
-    s = [float(np.trace(sigma @ rho.matrix).real) for sigma in PAULIS[1:]]
-    return StokesVector(*s)
+    s1, s2, s3 = (float(np.trace(sigma @ rho.matrix).real) for sigma in PAULIS[1:])
+    return s1, s2, s3
+
+
+def stokes_from_density(rho: DensityMatrix) -> StokesVector:
+    """Inverse map s_i = Tr(sigma_i rho) for a single-qubit matrix."""
+    return StokesVector(*_bloch(rho))

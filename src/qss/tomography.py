@@ -19,7 +19,7 @@ from .fidelity import fidelity, pure_state_fidelity
 from .noise import NoiseModel
 from .simulate import _qubit_state, simulate_shots
 from .states import DensityMatrix
-from .stokes import StokesVector, density_from_stokes, stokes_from_density
+from .stokes import StokesVector, _bloch, _inside_ball, _norm, density_from_stokes, stokes_from_density
 
 BASES = ("Z", "X", "Y")
 
@@ -95,11 +95,12 @@ def project_to_physical(rho_raw: DensityMatrix) -> DensityMatrix:
     a 2x2 matrix the rescale is the same as clipping the negative
     eigenvalue to zero and renormalizing the trace.
     """
-    s = stokes_from_density(rho_raw)
-    if s.is_physical():
+    s = _bloch(rho_raw)
+    norm = _norm(s)
+    if _inside_ball(norm):
         return rho_raw
-    scale = 1.0 / s.bloch_norm()
-    return density_from_stokes(StokesVector(s.s1 * scale, s.s2 * scale, s.s3 * scale))
+    scale = 1.0 / norm
+    return density_from_stokes(StokesVector(*(x * scale for x in s)))
 
 
 @dataclass(frozen=True)
@@ -148,8 +149,11 @@ def reconstruct(stokes: StokesVector, reference: DensityMatrix | None = None) ->
     rho_raw = density_from_stokes(stokes)
     rho_projected = project_to_physical(rho_raw)
     physical = rho_projected is rho_raw  # the projection leaves exactly the physical input alone
-    fid = fidelity(rho_projected, reference) if reference is not None else None
-    fid_raw = _raw_fidelity(rho_raw, reference) if reference is not None else None
+    fid = fid_raw = None
+    if reference is not None:
+        fid = fidelity(rho_projected, reference)
+        # a physical rho_raw is rho_projected, so its raw fidelity is fid
+        fid_raw = fid if physical else _raw_fidelity(rho_raw, reference)
     return TomographyResult(
         stokes=stokes,
         rho_raw=rho_raw,

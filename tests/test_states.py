@@ -2,6 +2,7 @@
 dense index-arithmetic oracle."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ def test_validation_rejects_bad_states():
         StateVector(amps)
     with pytest.raises(ValueError, match="^9 qubits exceeds the 8-qubit limit$"):
         DensityMatrix(np.eye(2**9, dtype=complex) / 2**9)
+
+
+def test_not_normalized_prints_the_norm_of_np_linalg():
+    # the check sums re.re + im.im as np.linalg.norm does, so the message
+    # carries norm's value to the last digit
+    amps = np.random.default_rng(5).normal(size=8) + 1j * np.random.default_rng(6).normal(size=8)
+    norm = float(np.linalg.norm(amps))
+    with pytest.raises(ValueError, match=f"^state is not normalized: [|]psi[|] = {re.escape(repr(norm))}$"):
+        StateVector(amps)
 
 
 def test_amplitudes_are_read_only():
@@ -151,6 +161,28 @@ def test_a_permutation_gate_is_an_exact_gather():
             got = apply_unitary(amps, g.matrix, targets, n)
             assert got.tobytes() == amps[..., perm].tobytes(), (name, targets)
             assert not np.shares_memory(got, amps)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_apply_unitary_by_name_gives_the_matrix_bytes(n):
+    # A registry gate given by name uses the tables of its matrix: the same
+    # bytes, the sign of every zero included, and the same checks.
+    rng = np.random.default_rng(40 + n)
+    amps = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+    amps[0, ::2] = complex(-0.0, -0.0)
+    amps[1] = 0.0
+    amps[2, 1::2] = complex(0.0, -0.0)
+    for name, g in sorted(GATES.items()):
+        for targets in itertools.permutations(range(n), g.arity):
+            by_name = apply_unitary(amps, name, targets, n)
+            assert by_name.tobytes() == apply_unitary(amps, g.matrix, targets, n).tobytes(), (name, targets)
+            assert by_name.flags.writeable and not np.shares_memory(by_name, amps)
+    with pytest.raises(ValueError, match="unknown gate"):
+        apply_unitary(amps, "CCX", (0,), n)
+    with pytest.raises(ValueError, match="does not match 1 targets"):
+        apply_unitary(amps, "CNOT", (0,), n)
+    with pytest.raises(ValueError, match="out of range"):
+        apply_unitary(amps, "X", (n,), n)
 
 
 def test_apply_unitary_matches_lifting_on_wide_registers():

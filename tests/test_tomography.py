@@ -142,6 +142,18 @@ def test_projection_leaves_physical_input_alone():
         assert project_to_physical(pure) is pure
 
 
+def test_projection_takes_matrices_whose_stokes_components_pass_one():
+    # s3 = 2.0 here, which StokesVector refuses; the projection reads the
+    # raw Bloch vector and rescales it by the same rule
+    projected = project_to_physical(DensityMatrix(np.diag([1.5, -0.5])))
+    assert projected.matrix.tobytes() == np.diag([1.0, 0.0]).astype(complex).tobytes()
+    rho = DensityMatrix(np.array([[1.0, 1.2 - 0.9j], [1.2 + 0.9j, 0.0]]))
+    s = stokes_from_density(project_to_physical(rho))
+    np.testing.assert_allclose(s.as_tuple()[1:], np.array([2.4, 1.8, 1.0]) / np.sqrt(10.0), atol=1e-15)
+    physical = DensityMatrix(np.diag([0.75, 0.25]))
+    assert project_to_physical(physical) is physical
+
+
 def test_projection_rescales_onto_the_sphere():
     for stokes in ((0.8, 0.0, 0.8), (0.9, 0.4, 0.3), (-0.7, 0.5, 0.6)):
         raw = density_from_stokes(StokesVector(*stokes))
@@ -185,6 +197,23 @@ def test_reconstruct_reports_physicality_and_fidelity():
     # which moves the eigensolver roundoff; agree to spectral accuracy
     assert result.fidelity_vs_reference == pytest.approx(0.8394685301746013, abs=1e-8)
     assert result.fidelity_raw_vs_reference == pytest.approx(result.fidelity_vs_reference, abs=1e-12)
+
+
+@pytest.mark.parametrize("stokes, physical", [(STOKES_HW[1:], True), ((0.8, 0.0, 0.8), False)])
+def test_reconstruct_scores_a_physical_matrix_once(monkeypatch, stokes, physical):
+    # a physical raw matrix is the projected one, so its fidelity is reused
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return fidelity(a, b)
+
+    monkeypatch.setattr("qss.tomography.fidelity", counted)
+    result = reconstruct(StokesVector(*stokes), reference=DensityMatrix(RHO_SECRET))
+    assert result.physical == physical
+    assert len(calls) == (1 if physical else 2)
+    assert (result.fidelity_raw_vs_reference == result.fidelity_vs_reference) == physical
+    assert calls[0][0] is result.rho_projected
 
 
 def test_reconstruct_unphysical_raw_fidelity_against_pure_reference():
