@@ -27,9 +27,9 @@ VALID_KINDS = tuple(_OP_FIELDS)
 _UNSET = {k: tuple(f for f in ("name", "targets", "qubit", "clbit") if f not in fs) for k, fs in _OP_FIELDS.items()}
 
 
-def _wire(v: object) -> int:
-    """A qubit or clbit index as a plain int.  Python and numpy integers
-    pass; bools, floats and strings raise TypeError."""
+def _integer(v: object, name: str) -> int:
+    """An integer field as a plain int.  Python and numpy integers pass;
+    bools, floats and strings raise TypeError, naming the field."""
     if type(v) is int:
         return v
     try:
@@ -37,7 +37,12 @@ def _wire(v: object) -> int:
             return operator.index(v)
     except TypeError:
         pass
-    raise TypeError(f"expected an integer wire, got {v!r}")
+    raise TypeError(f"{name} must be an integer, got {v!r}")
+
+
+def _wire(v: object) -> int:
+    """A qubit or clbit index as a plain int, by _integer's rule."""
+    return _integer(v, "wire")
 
 
 @dataclass(frozen=True)
@@ -252,10 +257,13 @@ class Counts:
         return cls({bitstring(c, num_clbits): n for c, n in zip(codes.tolist(), tally.tolist()) if n}, num_clbits)
 
 
-def _check_seed(seed: int) -> None:
-    """Reject a seed outside the range of a Philox key."""
+def _check_seed(seed: int) -> int:
+    """A seed as a plain int: an integer (TypeError) in the range of a
+    Philox key (ValueError)."""
+    seed = _integer(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -266,6 +274,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "shots", _integer(self.shots, "shots"))
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))

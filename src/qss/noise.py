@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, _check_seed
-from .simulate import _exact_p0
+from .simulate import _exact_p0, _fill
 
 
 class CalibrationError(ValueError):
@@ -92,7 +92,8 @@ def _estimator(circuit: Circuit, bit: int, p_read: float, seed: int) -> Callable
     """The fit's shot estimate of P(bit reads 0) at depolarizing strength p:
     the share of _SHOTS uniforms, drawn once from Philox keyed by the seed,
     that lie below the exact value."""
-    u = np.random.Generator(np.random.Philox(key=seed)).random(_SHOTS)
+    u = np.empty(_SHOTS)
+    _fill(seed, 0, u)
     return lambda p: int(np.count_nonzero(u < _exact_p0(circuit, bit, NoiseModel.depolarizing(p, p_read)))) / _SHOTS
 
 
@@ -111,14 +112,15 @@ def fit_depolarizing_detail(
     each estimate is Binomial(_SHOTS, P(0)), as a sampled run's would be,
     `achieved` is the estimate at the fitted p, the estimate is
     non-increasing wherever the exact P(0) falls with p, and the whole fit
-    reproduces exactly.  The target must be finite and the seed a 64-bit
-    unsigned integer (ValueError).  Raises CalibrationError, a ValueError,
-    when the target is above the estimate at the smallest strength the
-    bisection reaches, or below the estimate at the largest, p = 0.2.
+    reproduces exactly.  The target must be finite (ValueError), and the
+    seed an integer (TypeError) in [0, 2**64) (ValueError).  Raises
+    CalibrationError, a ValueError, when the target is above the estimate at
+    the smallest strength the bisection reaches, or below the estimate at
+    the largest, p = 0.2.
     """
     if not math.isfinite(target_p0):
         raise ValueError(f"target P(0) must be finite, got {target_p0}")
-    _check_seed(seed)
+    seed = _check_seed(seed)
     measured = [op.clbit for op in circuit.ops if op.kind == "measure"]
     if not measured:
         raise ValueError("circuit has no measurement to calibrate against")

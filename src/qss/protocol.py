@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, CircuitOp, Counts, RunConfig, _check_seed, _key_clbit
+from .circuit import Circuit, CircuitOp, Counts, RunConfig, _check_seed, _integer, _key_clbit
 from .gates import gate
 from .noise import NoiseModel
 from .simulate import Branch, _qubit_state, enumerate_branches, simulate_shots
@@ -73,9 +73,10 @@ class ProtocolConfig:
             raise ValueError(f"receiver must be one of {RECEIVERS}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        object.__setattr__(self, "shots", _integer(self.shots, "shots"))
         if self.mode == "sampled" and self.shots < 1:
             raise ValueError("sampled mode needs shots >= 1")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.noise is not None and self.mode != "sampled":
             raise ValueError("trajectory noise requires sampled mode")
 

@@ -10,21 +10,27 @@ counter-based generator (Philox) keyed by the run seed, laid out as one row
 of uniforms per shot with fixed columns per op (_op_draws), so results
 are independent of batching and a zero-probability noise channel consumes no
 draws at all: a run with NoiseModel(0, 0, 0) is bit-identical to a noiseless
-run.  A Pauli hit moves only the shots it hits into new groups keyed by
-(group, Pauli); a measurement regroups every shot by (group, true outcome,
-recorded bit).  Both regroupings rank keys densely instead of sorting them,
-and a Pauli hit is an index gather with a phase, not a dense kernel.
+run.  Each uniform is a function of its place in the seed's stream: _fill
+jumps straight to any position, so a shot's row does not depend on which
+thread draws it, or when.  A Pauli hit moves only the shots it hits into new
+groups keyed by (group, Pauli); a measurement regroups every shot by (group,
+true outcome, recorded bit).  Both regroupings rank keys densely instead of
+sorting them, and a Pauli hit is an index gather with a phase, not a dense
+kernel.
 
 A batch holds only the rows it has created, with no buffer preallocated
 per shot: a Pauli hit appends its new rows, and if rows then outnumber
 shots, only the rows some shot holds are kept, in order.  So a batch holds
 at most one row per shot between ops, and at most two during a hit.  A run
 that fits one batch of at most _CHUNK_AMPS amplitudes at one row per shot
-and _CHUNK_AMPS uniform draws is drawn and evolved in one go, which measured
-faster than halving it to overlap the draws.  A longer run goes in batches
-of half as many draws: one worker thread per run fills the next batch's rows
-from the same generator into the other of two buffers while the current
-batch evolves, so at most _CHUNK_AMPS draws are held at once (or two shots'
+and _CHUNK_AMPS uniform draws is drawn and evolved in one go: splitting its
+evolution into two batches, so that a worker could overlap the draws,
+measured about 5% slower.  The first batch of every run, drawn before
+anything evolves, is filled in two row halves at once, one on the caller
+and one on a helper thread.  A longer run goes in batches of half as many
+draws: one worker thread per run fills the next batch's rows, from their
+place in the stream, into the other of two buffers while the current batch
+evolves, so at most _CHUNK_AMPS draws are held at once (or two shots'
 worth, if one shot exceeds that).  Each batch joins a tally of the register
 values seen, so peak memory is O(_CHUNK_AMPS) plus that tally, whatever the
 shot count.
@@ -44,6 +50,7 @@ draws.  The calibration fit reads its P(0) from this channel.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -181,9 +188,40 @@ def _evolve(
     return states, creg, prob if u is None else group
 
 
-def _fill(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill `out` with the generator's next uniforms, row after row."""
+def _fill(seed: int, start: int, out: np.ndarray) -> None:
+    """Fill `out`, row after row, with uniforms start, start + 1, ... of the
+    stream of Philox keyed by the seed.  Philox makes four uniforms per
+    counter step, so this jumps start // 4 steps and drops start % 4."""
+    rng = np.random.Generator(np.random.Philox(key=seed).advance(start // 4))
+    rng.random(start % 4)
     rng.random(out=out)
+
+
+def _fill_halves(seed: int, out: np.ndarray) -> None:
+    """_fill(seed, 0, out) on two threads at once: a helper fills the second
+    half of the rows while the caller fills the first.  An error of the
+    helper is raised here, after it has been joined.  A one-row `out` is
+    filled on the caller alone."""
+    half = len(out) // 2
+    if not half:
+        _fill(seed, 0, out)
+        return
+    errors: list[BaseException] = []
+
+    def helper() -> None:
+        try:
+            _fill(seed, half * out.shape[1], out[half:])
+        except BaseException as e:
+            errors.append(e)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        _fill(seed, 0, out[:half])
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" = None) -> Counts:
@@ -191,15 +229,16 @@ def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" 
 
     A run of at most _CHUNK_AMPS // max(2**n, draw columns) shots, or of one
     shot, is one batch.  A longer run goes in batches of _CHUNK_AMPS //
-    max(2**n, 2 * draw columns) shots, at least one, and one worker thread
-    per run draws each next batch while the one before evolves.  Each batch
-    is tallied by distinct register value as it finishes; measurement
-    collapse uses the true outcome while the recorded bit may be flipped by
-    readout error.
+    max(2**n, 2 * draw columns) shots, at least one.  The first batch is
+    drawn in two row halves at once, on the caller and on one helper thread;
+    after it, one worker thread per run draws each next batch while the one
+    before evolves.  Shot i gets uniforms i * columns onwards of the seed's
+    stream, whichever thread draws them.  Each batch is tallied by distinct
+    register value as it finishes; measurement collapse uses the true
+    outcome while the recorded bit may be flipped by readout error.
     """
     ncols = max(1, sum(_op_draws(op, noise)[1] for op in circuit.ops))
     amps = 2**circuit.num_qubits
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     codes, tally = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
     def add(u: np.ndarray) -> None:
@@ -211,12 +250,12 @@ def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" 
     rows = cfg.shots
     if rows > max(1, _CHUNK_AMPS // max(amps, ncols)):
         rows = max(1, _CHUNK_AMPS // max(amps, 2 * ncols))
-    # Philox fills rows in order and one thread draws at a time, so every
-    # shot gets the uniforms of one shots x columns draw.  In a longer run
-    # the worker fills one buffer while the other is evolved.
+    # Every fill starts at its first row's place in the stream, so each shot
+    # gets the uniforms of one shots x columns draw.  In a longer run the
+    # worker fills one buffer while the other is evolved.
     buffers = np.empty((1 + (rows < cfg.shots), rows, ncols))
     u = buffers[0]
-    _fill(rng, u)
+    _fill_halves(cfg.seed, u)
     if rows < cfg.shots:
         # imported here so that start-up and single-batch runs skip its ~3 ms
         from concurrent.futures import ThreadPoolExecutor
@@ -224,7 +263,7 @@ def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" 
         with ThreadPoolExecutor(1) as worker:
             for start in range(rows, cfg.shots, rows):
                 following = buffers[start // rows % 2, : cfg.shots - start]
-                filled = worker.submit(_fill, rng, following)
+                filled = worker.submit(_fill, cfg.seed, start * ncols, following)
                 add(u)
                 filled.result()
                 u = following

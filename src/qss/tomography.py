@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import Circuit, Counts, RunConfig, _check_seed
+from .circuit import Circuit, Counts, RunConfig, _check_seed, _integer
 from .fidelity import fidelity, pure_state_fidelity
 from .noise import NoiseModel
 from .simulate import _qubit_state, simulate_shots
@@ -40,9 +40,10 @@ class TomographyJob:
     def __post_init__(self) -> None:
         if not 0 <= self.target_qubit < self.base_circuit.num_qubits:
             raise ValueError(f"target qubit {self.target_qubit} out of range")
+        object.__setattr__(self, "shots_per_basis", _integer(self.shots_per_basis, "shots_per_basis"))
         if self.shots_per_basis < 1:
             raise ValueError("shots_per_basis must be >= 1")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def _check_unmeasured(base: Circuit, qubit: int) -> None:

@@ -53,7 +53,7 @@ def test_op_kinds_and_validation():
 )
 def test_op_rejects_non_integer_wires(fields):
     make = CircuitOp if "kind" in fields else Circuit
-    with pytest.raises(TypeError, match="expected an integer wire"):
+    with pytest.raises(TypeError, match="wire must be an integer"):
         make(**fields)
 
 
@@ -62,7 +62,7 @@ def test_op_stores_numpy_wires_as_plain_ints():
     m = CircuitOp(kind="measure", qubit=np.uint8(2), clbit=np.int64(1))
     assert g == CircuitOp(kind="gate", name="CNOT", targets=(1, 0))
     assert [type(w) for w in (*g.targets, m.qubit, m.clbit)] == [int] * 4
-    with pytest.raises(TypeError, match="expected an integer wire"):
+    with pytest.raises(TypeError, match="wire must be an integer"):
         Circuit(2, 1).measure(0.5, 0)
     c = Circuit(np.int64(2), np.int64(1)).measure(0, 0).cond("X", np.int64(1), 0)
     assert c == Circuit(2, 1).measure(0, 0).cond("X", 1, 0)
@@ -357,3 +357,18 @@ def test_run_config_validation():
         RunConfig(seed=-1)
     with pytest.raises(ValueError, match="seed"):
         RunConfig(seed=2**64)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None])
+@pytest.mark.parametrize("name", ["shots", "seed"])
+def test_run_config_refuses_non_integer_fields(name, value):
+    # a float seed used to run as its floor, and a float or bool shot count
+    # to fail deep inside the sampler
+    with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
+        RunConfig(**{name: value})
+
+
+def test_run_config_stores_numpy_integers_as_plain_ints():
+    cfg = RunConfig(shots=np.int32(7), seed=np.uint64(2**64 - 1))
+    assert cfg == RunConfig(shots=7, seed=2**64 - 1)
+    assert [type(v) for v in (cfg.shots, cfg.seed)] == [int, int]

@@ -2,6 +2,7 @@
 
 import inspect
 
+import numpy as np
 import pytest
 
 import qss.noise
@@ -154,7 +155,23 @@ def test_fit_checks_target_and_seed_before_evaluating(target, seed, message, mon
     assert not isinstance(info.value, CalibrationError)
 
 
-def test_fit_takes_no_shot_count():
+def test_fit_refuses_a_non_integer_seed_before_evaluating(monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before the seed was checked")
+
+    monkeypatch.setattr(qss.noise, "_estimator", no_evaluation)
+    with pytest.raises(TypeError, match="seed must be an integer, got 1.5"):
+        fit_depolarizing_detail(0.8, calibration_circuit(), seed=1.5)
+
+
+def test_the_estimate_counts_the_start_of_the_seed_stream(monkeypatch):
+    # the fit's uniforms are the first _SHOTS of the seed's Philox stream,
+    # the same stream a sampled run's shots draw from
+    u = np.random.Generator(np.random.Philox(key=11)).random(qss.noise._SHOTS)
+    circuit = calibration_circuit()
+    monkeypatch.setattr(qss.noise, "_exact_p0", lambda *args: 0.25)
+    assert _estimator(circuit, 0, 0.0, 11)(0.1) == np.count_nonzero(u < 0.25) / len(u)
+
     assert "shots" not in inspect.signature(fit_depolarizing_detail).parameters
 
 

@@ -89,6 +89,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
             ProtocolConfig(seed=seed)
     assert ProtocolConfig(seed=2**64 - 1).seed == 2**64 - 1
+    for name, value in (("seed", 2.7), ("seed", False), ("shots", 1.5), ("shots", True)):
+        for mode in ("sampled", "exact"):
+            with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
+                ProtocolConfig(mode=mode, **{name: value})
+    assert type(ProtocolConfig(shots=np.int64(5), seed=np.uint8(3)).seed) is int
     with pytest.raises(ValueError, match="sampled"):
         from qss import NoiseModel
 

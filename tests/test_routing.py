@@ -174,7 +174,7 @@ def test_mapping_validation_and_swap():
          "bool-logical", "float-physical", "float-logical", "float-register"],
 )
 def test_routing_types_reject_non_integer_wires(cls, args):
-    with pytest.raises(TypeError, match="expected an integer wire"):
+    with pytest.raises(TypeError, match="wire must be an integer"):
         cls(*args)
 
 

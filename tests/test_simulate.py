@@ -170,35 +170,132 @@ def fail_on_call(monkeypatch, name: str, call: int) -> None:
     monkeypatch.setattr(qss.simulate, name, patched)
 
 
-@pytest.mark.parametrize("name, call", [("_fill", 1), ("_fill", 2), ("_evolve", 0), ("_evolve", 1), ("_evolve", 2)])
+def fail_on_start(monkeypatch, start: int) -> None:
+    """Patch qss.simulate._fill to raise Boom when it is asked to fill from
+    uniform `start`, whichever thread asks; the calls of two threads come
+    in no fixed order."""
+    real = qss.simulate._fill
+
+    def patched(seed, first, out):
+        if first == start:
+            raise Boom(f"_fill at {start}")
+        real(seed, first, out)
+
+    monkeypatch.setattr(qss.simulate, "_fill", patched)
+
+
+# DRAW_BOUND has 16 draw columns.  At _CHUNK_AMPS = 2**7, 12 shots go in
+# three batches of 4: batch 0 is filled in two halves at once, rows 0-1 from
+# uniform 0 on the caller and rows 2-3 from uniform 32 on a helper thread;
+# the worker fills batch 1 from uniform 64 and batch 2 from 128, each while
+# the batch before evolves.
+@pytest.mark.parametrize("name, call", [("_fill", 0), ("_fill", 32), ("_fill", 64), ("_fill", 128),
+                                        ("_evolve", 0), ("_evolve", 1), ("_evolve", 2)])
 def test_a_failing_batch_raises_and_leaves_no_thread(name, call, monkeypatch):
-    # three batches of 4 shots: _fill runs on the caller for batch 0 and on
-    # a worker for batches 1 and 2, each while the batch before evolves
     circuit, noise = DRAW_BOUND
     monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**7)
     before = threading.active_count()
-    fail_on_call(monkeypatch, name, call)
-    with pytest.raises(Boom, match=f"{name} call {call}"):
+    if name == "_fill":
+        fail_on_start(monkeypatch, call)
+        match = f"_fill at {call}"
+    else:
+        fail_on_call(monkeypatch, name, call)
+        match = f"{name} call {call}"
+    with pytest.raises(Boom, match=match):
         simulate_shots(circuit, RunConfig(shots=12, seed=3), noise=noise)
     assert threading.active_count() == before
 
 
-def test_a_multi_batch_run_draws_on_one_worker(monkeypatch):
-    # three batches of 4 shots: batch 0 is filled on the caller, batches 1
-    # and 2 on one worker thread that serves the whole run
+@pytest.mark.parametrize("start", [0, 48])
+def test_a_failing_one_batch_fill_raises_and_leaves_no_thread(start, monkeypatch):
+    # 6 shots x 16 columns are one batch: rows 0-2 from uniform 0 on the
+    # caller, rows 3-5 from uniform 48 on the helper.  Either failure is
+    # raised on the caller, after the helper has been joined.
     circuit, noise = DRAW_BOUND
-    monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**7)
-    fill, threads = qss.simulate._fill, []
+    before = threading.active_count()
+    fail_on_start(monkeypatch, start)
+    with pytest.raises(Boom, match=f"_fill at {start}"):
+        simulate_shots(circuit, RunConfig(shots=6, seed=3), noise=noise)
+    assert threading.active_count() == before
 
-    def recording_fill(rng, out):
-        threads.append(threading.current_thread())
-        fill(rng, out)
+
+def record_fills(monkeypatch) -> dict[int, tuple[threading.Thread, int]]:
+    """Patch _fill to record, by first uniform, the thread and row count of
+    every fill."""
+    fill, fills = qss.simulate._fill, {}
+
+    def recording_fill(seed, start, out):
+        fills[start] = threading.current_thread(), len(out)
+        fill(seed, start, out)
 
     monkeypatch.setattr(qss.simulate, "_fill", recording_fill)
+    return fills
+
+
+def test_a_multi_batch_run_draws_on_one_worker(monkeypatch):
+    # three batches of 4 shots: batch 0 is filled in halves on the caller and
+    # a helper, batches 1 and 2 on one worker thread that serves the whole run
+    circuit, noise = DRAW_BOUND
+    monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**7)
+    fills = record_fills(monkeypatch)
     simulate_shots(circuit, RunConfig(shots=12, seed=3), noise=noise)
     caller = threading.current_thread()
-    assert len(threads) == 3 and threads[0] is caller
-    assert threads[1] is threads[2] and threads[1] is not caller
+    assert sorted(fills) == [0, 32, 64, 128]
+    assert [rows for _, rows in map(fills.get, sorted(fills))] == [2, 2, 4, 4]
+    helper, worker = fills[32][0], fills[64][0]
+    assert fills[0][0] is caller and caller is not helper and caller is not worker
+    assert fills[128][0] is worker and worker is not helper
+
+
+@pytest.mark.parametrize("shots, halves", [(1, {0: 1}), (2, {0: 1, 16: 1}), (7, {0: 3, 48: 4})])
+def test_a_one_batch_run_draws_in_two_halves_at_once(shots, halves, monkeypatch):
+    # the caller fills the first half and one helper thread the rest; a
+    # one-row batch is filled on the caller alone
+    circuit, noise = DRAW_BOUND
+    fills = record_fills(monkeypatch)
+    simulate_shots(circuit, RunConfig(shots=shots, seed=3), noise=noise)
+    assert {start: rows for start, (_, rows) in fills.items()} == halves
+    caller = threading.current_thread()
+    assert [fills[start][0] is caller for start in sorted(fills)] == [True] + [False] * (len(fills) - 1)
+
+
+@pytest.mark.parametrize("start", range(9))
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 5), (4, 3)])
+def test_fill_matches_one_serial_draw(start, shape):
+    # every start % 4, in and past the first counter step, into rows of
+    # widths that do not divide it
+    stream = np.random.Generator(np.random.Philox(key=2**64 - 5)).random(64)
+    out = np.full(shape, np.nan)
+    qss.simulate._fill(2**64 - 5, start, out)
+    assert out.tobytes() == stream[start : start + out.size].reshape(shape).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shots, chunk",
+    [
+        (1, 2**19),  # one row, on the caller alone
+        (7, 2**19),  # one batch: halves of 3 and 4 rows
+        (12, 2**7),  # batches of 4, halves of 2
+        (13, 2**7),  # a last batch of 1
+        (45, 45 * 16 - 1),  # batches of 22, halves of 11
+    ],
+)
+def test_every_batch_evolves_its_rows_of_one_serial_draw(shots, chunk, monkeypatch):
+    # across the split point and the batch boundaries, the rows evolved are
+    # one shots x columns draw from the seed's stream, in shot order
+    circuit, noise = DRAW_BOUND
+    monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", chunk)
+    seen = []
+    evolve = qss.simulate._evolve
+
+    def spy(circuit, u=None, noise=None):
+        seen.append(u.copy())
+        return evolve(circuit, u, noise)
+
+    monkeypatch.setattr(qss.simulate, "_evolve", spy)
+    simulate_shots(circuit, RunConfig(shots=shots, seed=8), noise=noise)
+    serial = np.random.Generator(np.random.Philox(key=8)).random((shots, draw_columns(circuit, noise)))
+    assert np.concatenate(seen).tobytes() == serial.tobytes()
 
 
 def test_single_batch_runs_do_not_import_concurrent_futures():
@@ -220,20 +317,23 @@ def test_single_batch_runs_do_not_import_concurrent_futures():
 
 
 def test_concurrent_pipelined_runs_keep_their_counts(monkeypatch):
-    # four callers, each with its own draw worker, on a 2**-20 s switch
-    # interval.  Each fill sleeps first, so a batch evolved before its fill
-    # finished, a draw taken out of order or one into the wrong buffer
-    # changes a run's counts.
+    # eight callers on a 2**-20 s switch interval: four multi-batch runs,
+    # each with its own draw worker, and four one-batch runs.  Every fill but
+    # a caller's own first half sleeps first, so a batch evolved before its
+    # helper or worker finished, a draw from the wrong place in the stream or
+    # one into the wrong buffer changes a run's counts.
     circuit, noise = DRAW_BOUND
     monkeypatch.setattr(qss.simulate, "_CHUNK_AMPS", 2**7)
     fill = qss.simulate._fill
 
-    def slow_fill(rng, out):
-        time.sleep(0.001)
-        fill(rng, out)
+    def slow_fill(seed, start, out):
+        if start:
+            time.sleep(0.001)
+        fill(seed, start, out)
 
     monkeypatch.setattr(qss.simulate, "_fill", slow_fill)
     cfgs = [RunConfig(shots=200, seed=seed) for seed in range(4)]
+    cfgs += [RunConfig(shots=8, seed=seed) for seed in range(4, 8)]
     expected = [oracles.trajectory_counts(circuit, noise, shots=c.shots, seed=c.seed) for c in cfgs]
     results = [None] * len(cfgs)
 

@@ -62,6 +62,10 @@ def test_job_validation(coherent_circuit):
         with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
             TomographyJob(base_circuit=coherent_circuit, target_qubit=0, seed=seed)
     assert TomographyJob(base_circuit=coherent_circuit, target_qubit=0, seed=2**64 - 1).seed == 2**64 - 1
+    # a float seed used to fail late, at the per-basis seed's XOR
+    for name, value in (("seed", 2.5), ("seed", True), ("shots_per_basis", 10.0), ("shots_per_basis", "10")):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
+            TomographyJob(coherent_circuit, 0, **{name: value})
 
 
 def test_measurement_variant_rejects_a_measured_target():
