@@ -172,6 +172,8 @@ def test_the_estimate_counts_the_start_of_the_seed_stream(monkeypatch):
     monkeypatch.setattr(qss.noise, "_exact_p0", lambda *args: 0.25)
     assert _estimator(circuit, 0, 0.0, 11)(0.1) == np.count_nonzero(u < 0.25) / len(u)
 
+
+def test_fit_takes_no_shot_count():
     assert "shots" not in inspect.signature(fit_depolarizing_detail).parameters
 
 
