@@ -250,9 +250,7 @@ def simulate_shots(circuit: Circuit, cfg: RunConfig, noise: "NoiseModel | None" 
     rows = cfg.shots
     if rows > max(1, _CHUNK_AMPS // max(amps, ncols)):
         rows = max(1, _CHUNK_AMPS // max(amps, 2 * ncols))
-    # Every fill starts at its first row's place in the stream, so each shot
-    # gets the uniforms of one shots x columns draw.  In a longer run the
-    # worker fills one buffer while the other is evolved.
+    # in a longer run the worker fills one buffer while the other is evolved
     buffers = np.empty((1 + (rows < cfg.shots), rows, ncols))
     u = buffers[0]
     _fill_halves(cfg.seed, u)
